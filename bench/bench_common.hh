@@ -13,7 +13,6 @@
 #define ENZIAN_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -21,42 +20,13 @@
 #include <utility>
 #include <vector>
 
+#include "base/cli.hh"
 #include "base/logging.hh"
 #include "obs/json.hh"
 #include "platform/enzian_machine.hh"
 #include "platform/platform_factory.hh"
 
 namespace enzian::bench {
-
-/**
- * Thread count requested via ENZIAN_THREADS (0 = unset = the classic
- * single-queue machine). Every bench binary honors it through
- * makeBenchMachine(), and BenchReport stamps it into the metrics JSON
- * so a scaling sweep's artifacts are self-describing.
- */
-inline std::uint32_t
-envThreads()
-{
-    const char *s = std::getenv("ENZIAN_THREADS");
-    if (!s || !*s)
-        return 0;
-    const long v = std::strtol(s, nullptr, 10);
-    return v > 0 ? static_cast<std::uint32_t>(v) : 0;
-}
-
-/**
- * Coherence protocol requested via ENZIAN_PROTOCOL (empty = unset =
- * the config's default). Mirrors ENZIAN_THREADS: makeBenchMachine()
- * applies it and BenchReport stamps it into the metrics JSON, so a
- * protocol shootout's artifacts are self-describing while default
- * runs stay byte-identical to their golden files.
- */
-inline std::string
-envProtocol()
-{
-    const char *s = std::getenv("ENZIAN_PROTOCOL");
-    return s && *s ? std::string(s) : std::string();
-}
 
 /**
  * Machine-readable companion to a bench's text output: named scalar
@@ -84,10 +54,9 @@ class BenchReport
     /** Destination path for the JSON document. */
     std::string path() const
     {
-        const char *dir = std::getenv("ENZIAN_BENCH_DIR");
-        std::string p =
-            dir && *dir ? std::string(dir) + "/" : std::string();
-        return p + "BENCH_" + name_ + ".json";
+        const std::string dir = cli::env("ENZIAN_BENCH_DIR");
+        return (dir.empty() ? dir : dir + "/") + "BENCH_" + name_ +
+               ".json";
     }
 
     /** Write the report now (idempotent; the dtor calls this too). */
@@ -105,12 +74,14 @@ class BenchReport
         }
         f << "{\n  " << obs::json::quote("bench") << ": "
           << obs::json::quote(name_) << ",\n  ";
-        // Only stamped when explicitly requested, so default runs
-        // stay byte-identical to their golden files.
-        if (envThreads() > 0)
-            f << obs::json::quote("threads") << ": " << envThreads()
+        // ENZIAN_THREADS and ENZIAN_PROTOCOL are stamped only when
+        // set, so default runs stay byte-identical to their golden
+        // files and a sweep's artifacts are self-describing.
+        if (const std::uint32_t threads = cli::envThreads(); threads > 0)
+            f << obs::json::quote("threads") << ": " << threads
               << ",\n  ";
-        if (const std::string proto = envProtocol(); !proto.empty())
+        if (const std::string proto = cli::env("ENZIAN_PROTOCOL");
+            !proto.empty())
             f << obs::json::quote("protocol") << ": "
               << obs::json::quote(proto) << ",\n  ";
         f << obs::json::quote("metrics") << ": {";
@@ -247,7 +218,8 @@ measureThroughputGiB(platform::EnzianMachine &m, std::uint64_t bytes,
 
 /**
  * Fresh small-memory Enzian for a measurement. ENZIAN_THREADS turns
- * the machine parallel unless the caller already chose a mode.
+ * the machine parallel unless the caller already chose a mode, and
+ * ENZIAN_PROTOCOL replaces the default coherence protocol.
  */
 inline std::unique_ptr<platform::EnzianMachine>
 makeBenchMachine(platform::EnzianMachine::Config cfg)
@@ -256,8 +228,8 @@ makeBenchMachine(platform::EnzianMachine::Config cfg)
     cfg.fpga_dram_bytes = 256ull << 20;
     if (cfg.threads == 0 && !cfg.shared_scheduler &&
         !cfg.shared_eventq)
-        cfg.threads = envThreads();
-    if (const std::string proto = envProtocol();
+        cfg.threads = cli::envThreads();
+    if (const std::string proto = cli::env("ENZIAN_PROTOCOL");
         !proto.empty() && cfg.protocol == "moesi")
         cfg.protocol = proto;
     return std::make_unique<platform::EnzianMachine>(cfg);

@@ -257,6 +257,15 @@ allProtocols()
     return all;
 }
 
+std::vector<std::string>
+protocolNames()
+{
+    std::vector<std::string> names;
+    for (const ProtocolTable *p : allProtocols())
+        names.emplace_back(p->name());
+    return names;
+}
+
 const ProtocolTable *
 protocolByName(const std::string &name)
 {

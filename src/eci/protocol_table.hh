@@ -88,6 +88,9 @@ const ProtocolTable &dragonProtocol();
 /** All registered tables, in a fixed order. */
 const std::vector<const ProtocolTable *> &allProtocols();
 
+/** Names of allProtocols(), in the same order. */
+std::vector<std::string> protocolNames();
+
 /** Look a table up by name; nullptr if unknown. */
 const ProtocolTable *protocolByName(const std::string &name);
 

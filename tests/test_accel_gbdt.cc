@@ -111,6 +111,17 @@ struct Fig9Case
     double expect_mtps;
 };
 
+/**
+ * Print a case by value, not as raw bytes: the default printer dumps
+ * the platform pointer and padding, which differ from run to run and
+ * so give the test a different name every time it is listed.
+ */
+void
+PrintTo(const Fig9Case &c, std::ostream *os)
+{
+    *os << c.platform << "_x" << c.engines;
+}
+
 class Fig9Calibration : public ::testing::TestWithParam<Fig9Case>
 {
 };

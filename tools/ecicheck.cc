@@ -10,24 +10,7 @@
  * dirty-data conservation, deadlock freedom, and quiescence liveness
  * (src/verif/).
  *
- * Usage:
- *   ecicheck                     check cached + uncached, FIFO links
- *   ecicheck --protocol NAME     select the table (--list-protocols)
- *   ecicheck --list-protocols    print the registered tables
- *   ecicheck --unordered         model reordering link policies too
- *   ecicheck --mode cached       only the coherent-cached configuration
- *   ecicheck --mutation NAME     inject a seeded bug (must be caught)
- *   ecicheck --list-mutations    seeded bugs applicable to --protocol
- *   ecicheck --lines N           explore N concurrent lines (default 1)
- *   ecicheck --symmetry          canonicalize modulo line permutation
- *   ecicheck --por               partial-order-reduce pure completions
- *   ecicheck --threads N         parallel BFS workers (default 1)
- *   ecicheck --compare-reduction run unreduced and reduced, report the
- *                                state-count drop, fail on any
- *                                violation-set mismatch
- *   ecicheck --max-states N      state-explosion abort threshold
- *   ecicheck --json              machine-readable summary on stdout
- *   ecicheck --verbose           print coverage and unreached states
+ * Run `ecicheck --help` for the options.
  *
  * Exit status 0 iff every explored configuration is clean (or, with
  * --mutation, nonzero when the bug is detected as it should be).
@@ -37,10 +20,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "base/cli.hh"
 #include "eci/protocol_table.hh"
 #include "verif/explorer.hh"
 
@@ -149,153 +132,74 @@ printJson(const std::vector<JsonRun> &runs, const std::string &protocol)
     std::printf("]\n");
 }
 
-void
-listProtocols(std::FILE *to)
-{
-    for (const auto *p : eci::proto::allProtocols())
-        std::fprintf(to, "%s\n", p->name());
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool unordered = false, verbose = false, json = false;
-    bool symmetry = false, por = false, compare = false;
-    std::string mode = "both";
-    std::string protocol = "moesi";
-    unsigned lines = 1, threads = 1;
+    verif::Options opt;
+    bool unordered = false, compare = false, json = false;
+    bool verbose = false, listProtocols = false, listMutations = false;
+    std::string mode = "both", mutationName = "none";
     std::size_t maxStates = 0; // 0 = library default
-    verif::Mutation mutation = verif::Mutation::None;
-    std::string mutationName;
+    std::vector<std::string> mutations{"none"};
+    for (verif::Mutation m : verif::allMutations)
+        mutations.emplace_back(verif::toString(m));
 
-    auto intArg = [&](int &i, const char *flag,
-                      unsigned long &out) -> bool {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "ecicheck: %s requires a value\n",
-                         flag);
-            return false;
-        }
-        out = std::strtoul(argv[++i], nullptr, 10);
-        return true;
-    };
+    cli::Tool tool("ecicheck",
+                   "Exhaustively model-check the ECI coherence protocol "
+                   "tables.");
+    tool.choice("--protocol", opt.protocol, eci::proto::protocolNames(),
+                "protocol table to check (default moesi)")
+        .flag("--list-protocols", listProtocols,
+              "print the registered tables and exit")
+        .flag("--unordered", unordered,
+              "model reordering link policies too")
+        .choice("--mode", mode, {"cached", "uncached", "both"},
+                "configurations to check (default both)")
+        .choice("--mutation", mutationName, mutations,
+                "inject a seeded bug (must be caught)")
+        .flag("--list-mutations", listMutations,
+              "print the seeded bugs applicable to --protocol and exit")
+        .value("--lines", opt.lines, "N",
+               "explore N concurrent lines (default 1)")
+        .flag("--symmetry", opt.symmetry,
+              "canonicalize modulo line permutation")
+        .flag("--por", opt.por, "partial-order-reduce pure completions")
+        .value("--threads", opt.threads, "N",
+               "parallel BFS workers (default 1)")
+        .flag("--compare-reduction", compare,
+              "also run unreduced; fail on any violation-set mismatch")
+        .value("--max-states", maxStates, "N",
+               "state-explosion abort threshold")
+        .flag("--json", json, "machine-readable summary on stdout")
+        .flag("--verbose", verbose,
+              "print coverage and unreached states")
+        .parse(argc, argv);
 
-    for (int i = 1; i < argc; ++i) {
-        unsigned long v = 0;
-        if (std::strcmp(argv[i], "--unordered") == 0) {
-            unordered = true;
-        } else if (std::strcmp(argv[i], "--verbose") == 0) {
-            verbose = true;
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            json = true;
-        } else if (std::strcmp(argv[i], "--symmetry") == 0) {
-            symmetry = true;
-        } else if (std::strcmp(argv[i], "--por") == 0) {
-            por = true;
-        } else if (std::strcmp(argv[i], "--compare-reduction") == 0) {
-            compare = true;
-            symmetry = true;
-            por = true;
-        } else if (std::strcmp(argv[i], "--lines") == 0) {
-            if (!intArg(i, "--lines", v))
-                return 2;
-            lines = static_cast<unsigned>(v);
-        } else if (std::strcmp(argv[i], "--threads") == 0) {
-            if (!intArg(i, "--threads", v))
-                return 2;
-            threads = static_cast<unsigned>(v);
-        } else if (std::strcmp(argv[i], "--max-states") == 0) {
-            if (!intArg(i, "--max-states", v))
-                return 2;
-            maxStates = v;
-        } else if (std::strcmp(argv[i], "--mode") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "ecicheck: --mode requires a value\n");
-                return 2;
-            }
-            mode = argv[++i];
-        } else if (std::strcmp(argv[i], "--protocol") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "ecicheck: --protocol requires a value "
-                             "(--list-protocols)\n");
-                return 2;
-            }
-            protocol = argv[++i];
-        } else if (std::strcmp(argv[i], "--list-protocols") == 0) {
-            listProtocols(stdout);
-            return 0;
-        } else if (std::strcmp(argv[i], "--mutation") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "ecicheck: --mutation requires a value "
-                             "(--list-mutations)\n");
-                return 2;
-            }
-            mutationName = argv[++i];
-        } else if (std::strcmp(argv[i], "--list-mutations") == 0) {
-            // Deferred: filtered by --protocol, which may follow.
-            mutationName = "--list--";
-        } else if (std::strcmp(argv[i], "--help") == 0) {
-            std::printf(
-                "usage: ecicheck [--protocol NAME | "
-                "--list-protocols]\n"
-                "                [--unordered] [--mode "
-                "cached|uncached|both]\n"
-                "                [--mutation NAME | "
-                "--list-mutations]\n"
-                "                [--lines N] [--symmetry] [--por] "
-                "[--threads N]\n"
-                "                [--compare-reduction] "
-                "[--max-states N]\n"
-                "                [--json] [--verbose]\n");
-            return 0;
-        } else {
-            std::fprintf(stderr, "ecicheck: unknown option '%s'\n",
-                         argv[i]);
-            return 2;
-        }
+    const std::string &protocol = opt.protocol;
+    if (listProtocols) {
+        for (const std::string &p : eci::proto::protocolNames())
+            std::printf("%s\n", p.c_str());
+        return 0;
     }
-    if (mode != "cached" && mode != "uncached" && mode != "both") {
-        std::fprintf(stderr, "ecicheck: bad --mode '%s'\n",
-                     mode.c_str());
-        return 2;
-    }
-    if (!eci::proto::protocolByName(protocol)) {
-        std::fprintf(stderr,
-                     "ecicheck: unknown protocol '%s'; registered "
-                     "protocols are:\n",
-                     protocol.c_str());
-        listProtocols(stderr);
-        return 2;
-    }
-    if (mutationName == "--list--") {
+    if (listMutations) {
         for (verif::Mutation m : verif::allMutations) {
             if (verif::mutationApplies(m, protocol))
                 std::printf("%s\n", verif::toString(m));
         }
         return 0;
     }
-    if (!mutationName.empty()) {
-        auto m = verif::mutationFromString(mutationName);
-        if (!m) {
-            std::fprintf(stderr,
-                         "ecicheck: unknown mutation '%s' "
-                         "(--list-mutations)\n",
-                         mutationName.c_str());
-            return 2;
-        }
-        if (!verif::mutationApplies(*m, protocol)) {
-            std::fprintf(stderr,
-                         "ecicheck: mutation '%s' does not apply to "
-                         "protocol '%s'\n",
-                         mutationName.c_str(), protocol.c_str());
-            return 2;
-        }
-        mutation = *m;
-    }
+    opt.mutation = verif::mutationFromString(mutationName)
+                       .value_or(verif::Mutation::None);
+    if (!verif::mutationApplies(opt.mutation, protocol))
+        tool.usageError("mutation '%s' does not apply to protocol '%s'",
+                        mutationName.c_str(), protocol.c_str());
+    if (compare)
+        opt.symmetry = opt.por = true;
+    opt.orderedDelivery = !unordered;
+    if (maxStates)
+        opt.maxStates = maxStates;
 
     int rc = 0;
     std::vector<JsonRun> jsonRuns;
@@ -304,29 +208,19 @@ main(int argc, char **argv)
             continue;
         if (!cached && mode == "cached")
             continue;
-        verif::Options opt;
-        opt.protocol = protocol;
         opt.uncachedRemote = !cached;
-        opt.orderedDelivery = !unordered;
-        opt.mutation = mutation;
-        opt.lines = lines;
-        opt.symmetry = symmetry;
-        opt.por = por;
-        opt.threads = threads;
-        if (maxStates)
-            opt.maxStates = maxStates;
         std::string what =
             protocol + " " + (cached ? "cached" : "uncached") +
             (unordered ? " unordered" : " ordered");
-        if (lines > 1)
-            what += " lines=" + std::to_string(lines);
-        if (symmetry || por) {
-            what += std::string(" [") + (symmetry ? "sym" : "") +
-                    (symmetry && por ? "+" : "") + (por ? "por" : "") +
-                    "]";
+        if (opt.lines > 1)
+            what += " lines=" + std::to_string(opt.lines);
+        if (opt.symmetry || opt.por) {
+            what += std::string(" [") + (opt.symmetry ? "sym" : "") +
+                    (opt.symmetry && opt.por ? "+" : "") +
+                    (opt.por ? "por" : "") + "]";
         }
-        if (mutation != verif::Mutation::None)
-            what += std::string(" +") + verif::toString(mutation);
+        if (opt.mutation != verif::Mutation::None)
+            what += std::string(" +") + verif::toString(opt.mutation);
         rc |= runOne(opt, what, verbose, compare, json, jsonRuns);
     }
     if (json)

@@ -7,17 +7,14 @@
  * Wireshark plugin) share one serialization format; this utility
  * decodes, summarizes, and checks them.
  *
- * Usage:
- *   ecidump <trace.ecit>            decode to text
- *   ecidump --summary <trace.ecit>  per-opcode/VC summary
- *   ecidump --check <trace.ecit>    run the protocol checker
- *   ecidump --chrome <trace.ecit>   Chrome/Perfetto trace JSON to stdout
+ * Run `ecidump --help` for the options.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
+#include <string>
 
+#include "base/cli.hh"
 #include "obs/span_tracer.hh"
 #include "trace/checker.hh"
 #include "trace/decoder.hh"
@@ -29,27 +26,15 @@ int
 main(int argc, char **argv)
 {
     bool summary = false, check = false, chrome = false;
-    const char *path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--summary") == 0)
-            summary = true;
-        else if (std::strcmp(argv[i], "--check") == 0)
-            check = true;
-        else if (std::strcmp(argv[i], "--chrome") == 0)
-            chrome = true;
-        else if (std::strcmp(argv[i], "--help") == 0) {
-            std::printf("usage: ecidump [--summary] [--check] "
-                        "[--chrome] <trace.ecit>\n");
-            return 0;
-        } else {
-            path = argv[i];
-        }
-    }
-    if (!path) {
-        std::fprintf(stderr, "ecidump: no trace file given "
-                             "(--help for usage)\n");
-        return 2;
-    }
+    std::string path;
+    cli::Tool("ecidump", "Decode, summarize or check an ECI trace "
+                         "capture (.ecit).")
+        .flag("--summary", summary, "per-opcode/VC summary")
+        .flag("--check", check, "run the protocol checker")
+        .flag("--chrome", chrome,
+              "Chrome/Perfetto trace JSON to stdout")
+        .operand("TRACE", path)
+        .parse(argc, argv);
 
     trace::EciTrace tr;
     tr.load(path);
@@ -59,11 +44,11 @@ main(int argc, char **argv)
         checker.check(tr);
         checker.finalize();
         if (checker.clean()) {
-            std::printf("%s: %zu messages, protocol-clean\n", path,
-                        tr.size());
+            std::printf("%s: %zu messages, protocol-clean\n",
+                        path.c_str(), tr.size());
             return 0;
         }
-        std::printf("%s: %zu violations\n", path,
+        std::printf("%s: %zu violations\n", path.c_str(),
                     checker.violations().size());
         for (const auto &v : checker.violations())
             std::printf("  %s\n", v.c_str());

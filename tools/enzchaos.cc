@@ -10,131 +10,66 @@
  * Exits non-zero if any invariant was violated, any acked write read
  * back wrong, or any traffic failed to complete.
  *
- * Usage:
- *   enzchaos --plan FILE         run the plan in FILE
- *   enzchaos --seed N            run FaultPlan::random(N)
- *   enzchaos --ops N             coherent line ops (default 400)
- *   enzchaos --lines N           lines per pool (default 32)
- *   enzchaos --traffic-seed N    traffic stream seed (default: plan seed)
- *   enzchaos --no-net            skip TCP side traffic
- *   enzchaos --no-rdma           skip RDMA side traffic
- *   enzchaos --with-bmc          attach the BMC for rail glitches
- *   enzchaos --threads N         run the machine as parallel timing
- *                                domains on N threads (also honors
- *                                ENZIAN_THREADS; needs a domain-safe
- *                                plan, else falls back to the legacy
- *                                single-queue run with a warning)
- *   enzchaos --dump-plan         print the effective plan and exit
- *   enzchaos --json [FILE]       also dump the full stats registry JSON
+ * Run `enzchaos --help` for the options.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <optional>
 #include <string>
 
+#include "base/cli.hh"
+#include "eci/protocol_table.hh"
 #include "fault/chaos_scenario.hh"
 #include "fault/fault_plan.hh"
 
 using namespace enzian;
 
-namespace {
-
-void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: enzchaos [--plan FILE | --seed N] [--ops N] "
-                 "[--lines N]\n"
-                 "                [--traffic-seed N] [--no-net] "
-                 "[--no-rdma] [--with-bmc]\n"
-                 "                [--protocol NAME] [--threads N] "
-                 "[--dump-plan] [--json [FILE]]\n");
-    std::exit(2);
-}
-
-std::uint64_t
-parseU64(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s, &end, 0);
-    if (!end || *end) {
-        std::fprintf(stderr, "enzchaos: bad %s '%s'\n", what, s);
-        std::exit(2);
-    }
-    return v;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    std::optional<fault::FaultPlan> plan;
-    std::uint64_t seed = 1;
-    bool have_seed = false;
     fault::ChaosConfig cfg;
-    bool traffic_seed_set = false;
-    bool dump_plan = false;
-    bool want_json = false;
-    std::string json_path;
-    std::uint32_t threads = 0;
-    if (const char *env = std::getenv("ENZIAN_THREADS");
-        env && *env)
-        threads = static_cast<std::uint32_t>(
-            std::strtoul(env, nullptr, 10));
+    std::string plan_file;
+    std::uint64_t seed = 1;
+    std::optional<std::uint64_t> traffic_seed;
+    bool no_net = false, no_rdma = false, dump_plan = false;
+    std::optional<std::string> json;
+    std::uint32_t threads = cli::envThreads();
+    cli::Tool tool("enzchaos",
+                   "Run a fault-injection chaos scenario and report what "
+                   "was injected and\nwhat recovered; exit 1 on any "
+                   "violation or undelivered traffic.");
+    tool.value("--plan", plan_file, "FILE", "run the fault plan in FILE")
+        .value("--seed", seed, "N",
+               "run FaultPlan::random(N) (default 1)")
+        .value("--ops", cfg.ops, "N", "coherent line ops (default 400)")
+        .value("--lines", cfg.lines, "N", "lines per pool (default 32)")
+        .value("--traffic-seed", traffic_seed, "N",
+               "traffic stream seed (default: plan seed)")
+        .flag("--no-net", no_net, "skip TCP side traffic")
+        .flag("--no-rdma", no_rdma, "skip RDMA side traffic")
+        .flag("--with-bmc", cfg.with_bmc, "attach the BMC for rail glitches")
+        .choice("--protocol", cfg.protocol, eci::proto::protocolNames(),
+                "coherence protocol (default moesi)")
+        .value("--threads", threads, "N",
+               "parallel timing domains on N threads; domain-unsafe "
+               "plans fall back to one queue (default ENZIAN_THREADS)")
+        .flag("--dump-plan", dump_plan, "print the effective plan and exit")
+        .optionalValue("--json", json, "FILE",
+                       "also dump the full stats registry JSON")
+        .parse(argc, argv);
 
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (!std::strcmp(arg, "--plan") && i + 1 < argc) {
-            std::string err;
-            plan = fault::FaultPlan::parseFile(argv[++i], err);
-            if (!plan) {
-                std::fprintf(stderr, "enzchaos: %s\n", err.c_str());
-                return 2;
-            }
-        } else if (!std::strcmp(arg, "--seed") && i + 1 < argc) {
-            seed = parseU64(argv[++i], "seed");
-            have_seed = true;
-        } else if (!std::strcmp(arg, "--ops") && i + 1 < argc) {
-            cfg.ops = static_cast<std::uint32_t>(
-                parseU64(argv[++i], "ops"));
-        } else if (!std::strcmp(arg, "--lines") && i + 1 < argc) {
-            cfg.lines = static_cast<std::uint32_t>(
-                parseU64(argv[++i], "lines"));
-        } else if (!std::strcmp(arg, "--traffic-seed") &&
-                   i + 1 < argc) {
-            cfg.seed = parseU64(argv[++i], "traffic seed");
-            traffic_seed_set = true;
-        } else if (!std::strcmp(arg, "--protocol") && i + 1 < argc) {
-            cfg.protocol = argv[++i];
-        } else if (!std::strcmp(arg, "--no-net")) {
-            cfg.with_net = false;
-        } else if (!std::strcmp(arg, "--no-rdma")) {
-            cfg.with_rdma = false;
-        } else if (!std::strcmp(arg, "--with-bmc")) {
-            cfg.with_bmc = true;
-        } else if (!std::strcmp(arg, "--threads") && i + 1 < argc) {
-            threads = static_cast<std::uint32_t>(
-                parseU64(argv[++i], "threads"));
-        } else if (!std::strcmp(arg, "--dump-plan")) {
-            dump_plan = true;
-        } else if (!std::strcmp(arg, "--json")) {
-            want_json = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                json_path = argv[++i];
-        } else {
-            usage();
-        }
+    std::optional<fault::FaultPlan> plan;
+    if (!plan_file.empty()) {
+        std::string err;
+        plan = fault::FaultPlan::parseFile(plan_file, err);
+        if (!plan)
+            tool.usageError("%s", err.c_str());
+    } else {
+        plan = fault::FaultPlan::random(seed);
     }
-
-    if (!plan)
-        plan = fault::FaultPlan::random(have_seed ? seed : 1);
-    if (!traffic_seed_set)
-        cfg.seed = plan->seed;
+    cfg.seed = traffic_seed.value_or(plan->seed);
+    cfg.with_net = !no_net;
+    cfg.with_rdma = !no_rdma;
 
     if (dump_plan) {
         std::fputs(plan->toString().c_str(), stdout);
@@ -172,29 +107,17 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(r.opsIssued),
                 static_cast<unsigned long long>(r.opsCompleted));
 
-    if (want_json) {
-        if (json_path.empty() || json_path == "-") {
-            std::cout << r.registryJson;
-        } else {
-            std::ofstream f(json_path, std::ios::trunc);
-            if (!f) {
-                std::fprintf(stderr, "enzchaos: cannot open '%s'\n",
-                             json_path.c_str());
-                return 2;
-            }
-            f << r.registryJson;
-            std::fprintf(stderr, "enzchaos: wrote %s\n",
-                         json_path.c_str());
-        }
-    }
+    const bool wrote = !json || tool.writeTo(*json, [&](std::ostream &os) {
+        os << r.registryJson;
+    });
 
     if (!r.ok) {
         std::printf("\nFAIL: %zu violation(s)\n", r.violations.size());
         for (const auto &v : r.violations)
             std::printf("  %s\n", v.c_str());
-        return 1;
+        return cli::exitFailure;
     }
     std::printf("\nOK: no invariant violations, all writes readable, "
                 "all traffic delivered\n");
-    return 0;
+    return wrote ? 0 : cli::exitFailure;
 }

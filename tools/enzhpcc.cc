@@ -9,35 +9,21 @@
  * reports GFLOP/s and GB/s per kernel. Exits non-zero on any
  * verification failure.
  *
- * Usage:
- *   enzhpcc [--kernel fft|lu|ptrans|all]  kernels to run (default all)
- *           [--n N]            FFT points / LU order (default 1024/256)
- *           [--rows R --cols C --tile T]  PTRANS geometry (256/256/64)
- *           [--block B]        LU panel width (default 32)
- *           [--jobs N]         timed jobs per kernel (default 4)
- *           [--seed N]         input RNG seed (default 1)
- *           [--sched]          run the jobs under the vFPGA scheduler
- *           [--policy fifo|rr] scheduler policy (default fifo)
- *           [--quantum-us N]   round-robin quantum (default 5)
- *           [--no-verify]      skip the reference checks
- *           [--trace FILE]     write a Chrome/Perfetto span trace
- *           [--json [FILE]]    dump the stats registry JSON
+ * Run `enzhpcc --help` for the options.
  */
 
 #include <cmath>
 #include <complex>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "accel/hpcc/fft.hh"
-#include "base/logging.hh"
 #include "accel/hpcc/lu.hh"
 #include "accel/hpcc/transpose.hh"
+#include "base/cli.hh"
+#include "base/logging.hh"
 #include "base/rng.hh"
 #include "fpga/scheduler.hh"
 #include "mem/address_map.hh"
@@ -51,44 +37,20 @@ using namespace enzian::accel::hpcc;
 
 namespace {
 
-void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: enzhpcc [--kernel fft|lu|ptrans|all] [--n N]\n"
-        "               [--rows R] [--cols C] [--tile T] [--block B]\n"
-        "               [--jobs N] [--seed N] [--sched]\n"
-        "               [--policy fifo|rr] [--quantum-us N]\n"
-        "               [--no-verify] [--trace FILE] [--json [FILE]]\n");
-    std::exit(2);
-}
-
-std::uint64_t
-parseU64(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s, &end, 0);
-    if (!end || *end) {
-        std::fprintf(stderr, "enzhpcc: bad %s '%s'\n", what, s);
-        std::exit(2);
-    }
-    return v;
-}
-
 struct Options
 {
-    bool fft = true, lu = true, ptrans = true;
+    std::string kernel = "all";
     std::uint32_t n = 0; // 0 = per-kernel default
     std::uint32_t rows = 256, cols = 256, tile = 64, block = 32;
     std::uint32_t jobs = 4;
-    std::uint64_t seed = 1;
-    bool sched = false;
-    fpga::SchedPolicy policy = fpga::SchedPolicy::Fifo;
-    Tick quantum = units::us(5);
-    bool verify = true;
-    bool want_trace = false, want_json = false;
-    std::string trace_path, json_path;
+    std::uint64_t seed = 1, quantum_us = 5;
+    bool sched = false, no_verify = false;
+    std::optional<std::string> policy, trace, json;
+
+    bool runs(const std::string &k) const
+    {
+        return kernel == k || kernel == "all";
+    }
 };
 
 accel::Pipeline::Config
@@ -142,70 +104,41 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (!std::strcmp(arg, "--kernel") && i + 1 < argc) {
-            const std::string k = argv[++i];
-            opt.fft = k == "fft" || k == "all";
-            opt.lu = k == "lu" || k == "all";
-            opt.ptrans = k == "ptrans" || k == "all";
-            if (!opt.fft && !opt.lu && !opt.ptrans) {
-                std::fprintf(stderr, "enzhpcc: unknown kernel '%s'\n",
-                             k.c_str());
-                return 2;
-            }
-        } else if (!std::strcmp(arg, "--n") && i + 1 < argc) {
-            opt.n = static_cast<std::uint32_t>(parseU64(argv[++i], "n"));
-        } else if (!std::strcmp(arg, "--rows") && i + 1 < argc) {
-            opt.rows =
-                static_cast<std::uint32_t>(parseU64(argv[++i], "rows"));
-        } else if (!std::strcmp(arg, "--cols") && i + 1 < argc) {
-            opt.cols =
-                static_cast<std::uint32_t>(parseU64(argv[++i], "cols"));
-        } else if (!std::strcmp(arg, "--tile") && i + 1 < argc) {
-            opt.tile =
-                static_cast<std::uint32_t>(parseU64(argv[++i], "tile"));
-        } else if (!std::strcmp(arg, "--block") && i + 1 < argc) {
-            opt.block = static_cast<std::uint32_t>(
-                parseU64(argv[++i], "block"));
-        } else if (!std::strcmp(arg, "--jobs") && i + 1 < argc) {
-            opt.jobs =
-                static_cast<std::uint32_t>(parseU64(argv[++i], "jobs"));
-        } else if (!std::strcmp(arg, "--seed") && i + 1 < argc) {
-            opt.seed = parseU64(argv[++i], "seed");
-        } else if (!std::strcmp(arg, "--sched")) {
-            opt.sched = true;
-        } else if (!std::strcmp(arg, "--policy") && i + 1 < argc) {
-            const std::string p = argv[++i];
-            if (p == "fifo") {
-                opt.policy = fpga::SchedPolicy::Fifo;
-            } else if (p == "rr" || p == "round-robin") {
-                opt.policy = fpga::SchedPolicy::RoundRobin;
-            } else {
-                std::fprintf(stderr, "enzhpcc: unknown policy '%s'\n",
-                             p.c_str());
-                return 2;
-            }
-            opt.sched = true;
-        } else if (!std::strcmp(arg, "--quantum-us") && i + 1 < argc) {
-            opt.quantum = units::us(parseU64(argv[++i], "quantum"));
-        } else if (!std::strcmp(arg, "--no-verify")) {
-            opt.verify = false;
-        } else if (!std::strcmp(arg, "--trace") && i + 1 < argc) {
-            opt.want_trace = true;
-            opt.trace_path = argv[++i];
-        } else if (!std::strcmp(arg, "--json")) {
-            opt.want_json = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                opt.json_path = argv[++i];
-        } else {
-            usage();
-        }
-    }
+    cli::Tool tool("enzhpcc",
+                   "Run the HPCC accelerator suite (FFT / LU / PTRANS) "
+                   "on a simulated Enzian.");
+    tool.choice("--kernel", opt.kernel, {"fft", "lu", "ptrans", "all"},
+                "kernels to run (default all)")
+        .value("--n", opt.n, "N",
+               "FFT points / LU order (default 1024 / 256)")
+        .value("--rows", opt.rows, "R", "PTRANS rows (default 256)")
+        .value("--cols", opt.cols, "C", "PTRANS columns (default 256)")
+        .value("--tile", opt.tile, "T", "PTRANS tile (default 64)")
+        .value("--block", opt.block, "B", "LU panel width (default 32)")
+        .value("--jobs", opt.jobs, "N", "timed jobs per kernel (default 4)")
+        .value("--seed", opt.seed, "N", "input RNG seed (default 1)")
+        .flag("--sched", opt.sched, "run the jobs under the vFPGA scheduler")
+        .choice("--policy", opt.policy, {"fifo", "rr", "round-robin"},
+                "scheduler policy (default fifo; implies --sched)")
+        .value("--quantum-us", opt.quantum_us, "N",
+               "round-robin quantum (default 5)")
+        .flag("--no-verify", opt.no_verify, "skip the reference checks")
+        .value("--trace", opt.trace, "FILE",
+               "write a Chrome/Perfetto span trace")
+        .optionalValue("--json", opt.json, "FILE",
+                       "dump the stats registry JSON")
+        .parse(argc, argv);
     if (opt.jobs == 0)
-        usage();
+        tool.usageError("--jobs must be at least 1");
+    const fpga::SchedPolicy policy = opt.policy.value_or("fifo") == "fifo"
+                                         ? fpga::SchedPolicy::Fifo
+                                         : fpga::SchedPolicy::RoundRobin;
+    opt.sched |= opt.policy.has_value();
+    auto verdict = [&](bool verified) {
+        return opt.no_verify ? "skipped" : verified ? "ok" : "FAIL";
+    };
 
-    if (opt.want_trace)
+    if (opt.trace)
         obs::SpanTracer::global().setEnabled(true);
 
     auto cfg = platform::enzianDefaultConfig();
@@ -218,8 +151,8 @@ main(int argc, char **argv)
     if (opt.sched) {
         m.loadBitstream("coyote-shell");
         fpga::VfpgaScheduler::Config scfg;
-        scfg.policy = opt.policy;
-        scfg.quantum = opt.quantum;
+        scfg.policy = policy;
+        scfg.quantum = units::us(opt.quantum_us);
         sched_holder = std::make_unique<fpga::VfpgaScheduler>(
             "enzhpcc.sched", m.eventq(), m.shell(), scfg);
         sched = sched_holder.get();
@@ -233,16 +166,12 @@ main(int argc, char **argv)
     std::printf("%-8s %10s %12s %12s %10s\n", "kernel", "size",
                 "GFLOP/s", "GB/s", "verify");
     int failures = 0;
-    std::vector<KernelRun> runs;
 
-    if (opt.fft) {
+    if (opt.runs("fft")) {
         FftPipeline::Params p;
         p.n = opt.n ? opt.n : 1024;
-        if (p.n < 2 || (p.n & (p.n - 1))) {
-            std::fprintf(stderr,
-                         "enzhpcc: FFT size must be a power of two\n");
-            return 2;
-        }
+        if (p.n < 2 || (p.n & (p.n - 1)))
+            tool.usageError("FFT size must be a power of two");
         FftPipeline fft("enzhpcc.fft", m.fpgaEventq(), pipeConfig(m),
                         p);
         Rng rng(opt.seed);
@@ -260,7 +189,7 @@ main(int argc, char **argv)
                    opt.jobs / secs / 1e9;
         r.gbs = 2.0 * 8.0 * p.n * opt.jobs / secs / 1e9;
         r.verified = true;
-        if (opt.verify) {
+        if (!opt.no_verify) {
             std::vector<std::complex<float>> got(p.n);
             store.read(map.offsetInRegion(out), got.data(),
                        got.size() * 8);
@@ -270,20 +199,15 @@ main(int argc, char **argv)
             }
         }
         std::printf("%-8s %10u %12.2f %12.2f %10s\n", r.name, p.n,
-                    r.gflops, r.gbs,
-                    opt.verify ? (r.verified ? "ok" : "FAIL")
-                               : "skipped");
-        runs.push_back(r);
+                    r.gflops, r.gbs, verdict(r.verified));
     }
 
-    if (opt.lu) {
+    if (opt.runs("lu")) {
         LuPipeline::Params p;
         p.n = opt.n ? opt.n : 256;
         p.block = opt.block;
-        if (p.block == 0 || p.block > p.n) {
-            std::fprintf(stderr, "enzhpcc: bad LU block width\n");
-            return 2;
-        }
+        if (p.block == 0 || p.block > p.n)
+            tool.usageError("bad LU block width");
         LuPipeline lu("enzhpcc.lu", m.fpgaEventq(), pipeConfig(m), p);
         Rng rng(opt.seed + 1);
         std::vector<float> mat(static_cast<std::size_t>(p.n) * p.n);
@@ -301,7 +225,7 @@ main(int argc, char **argv)
                                     lu.outputBytes()) *
                 opt.jobs / secs / 1e9;
         r.verified = true;
-        if (opt.verify) {
+        if (!opt.no_verify) {
             std::vector<float> got(mat.size());
             store.read(map.offsetInRegion(out), got.data(),
                        got.size() * 4);
@@ -318,22 +242,16 @@ main(int argc, char **argv)
             }
         }
         std::printf("%-8s %10u %12.2f %12.2f %10s\n", r.name, p.n,
-                    r.gflops, r.gbs,
-                    opt.verify ? (r.verified ? "ok" : "FAIL")
-                               : "skipped");
-        runs.push_back(r);
+                    r.gflops, r.gbs, verdict(r.verified));
     }
 
-    if (opt.ptrans) {
+    if (opt.runs("ptrans")) {
         TransposePipeline::Params p;
         p.rows = opt.rows;
         p.cols = opt.cols;
         p.tile = opt.tile;
-        if (p.tile == 0 || p.rows % p.tile || p.cols % p.tile) {
-            std::fprintf(stderr,
-                         "enzhpcc: tile must divide rows and cols\n");
-            return 2;
-        }
+        if (p.tile == 0 || p.rows % p.tile || p.cols % p.tile)
+            tool.usageError("tile must divide rows and cols");
         TransposePipeline tr("enzhpcc.ptrans", m.fpgaEventq(),
                              pipeConfig(m), p);
         Rng rng(opt.seed + 2);
@@ -350,13 +268,12 @@ main(int argc, char **argv)
         r.gbs = static_cast<double>(tr.bytesMoved()) * opt.jobs /
                 secs / 1e9;
         r.verified = true;
-        if (opt.verify) {
+        if (!opt.no_verify) {
             std::vector<float> got(mat.size());
             store.read(map.offsetInRegion(out), got.data(),
                        got.size() * 4);
             const auto want = transposeReference(mat, p.rows, p.cols);
-            if (std::memcmp(got.data(), want.data(),
-                            want.size() * 4) != 0) {
+            if (got != want) {
                 r.verified = false;
                 ++failures;
             }
@@ -364,56 +281,36 @@ main(int argc, char **argv)
         char size[32];
         std::snprintf(size, sizeof size, "%ux%u", p.rows, p.cols);
         std::printf("%-8s %10s %12s %12.2f %10s\n", r.name, size, "-",
-                    r.gbs,
-                    opt.verify ? (r.verified ? "ok" : "FAIL")
-                               : "skipped");
-        runs.push_back(r);
+                    r.gbs, verdict(r.verified));
     }
 
     if (sched)
         std::printf("\nscheduler: %s, %llu job(s) completed, %llu "
                     "preemption(s)\n",
-                    fpga::toString(opt.policy),
+                    fpga::toString(policy),
                     static_cast<unsigned long long>(
                         sched->jobsCompleted()),
                     static_cast<unsigned long long>(
                         sched->preemptions()));
 
-    if (opt.want_trace) {
+    bool wrote = true;
+    if (opt.trace) {
         obs::SpanTracer &tracer = obs::SpanTracer::global();
         tracer.setEnabled(false);
-        std::ofstream f(opt.trace_path, std::ios::trunc);
-        if (!f) {
-            std::fprintf(stderr, "enzhpcc: cannot open '%s'\n",
-                         opt.trace_path.c_str());
-            return 2;
-        }
-        tracer.writeChromeJson(f);
-        std::fprintf(stderr, "enzhpcc: wrote %s\n",
-                     opt.trace_path.c_str());
+        wrote &= tool.writeTo(*opt.trace, [&](std::ostream &os) {
+            tracer.writeChromeJson(os);
+        });
     }
-
-    if (opt.want_json) {
-        if (opt.json_path.empty() || opt.json_path == "-") {
-            obs::Registry::global().exportJson(std::cout);
-        } else {
-            std::ofstream f(opt.json_path, std::ios::trunc);
-            if (!f) {
-                std::fprintf(stderr, "enzhpcc: cannot open '%s'\n",
-                             opt.json_path.c_str());
-                return 2;
-            }
-            obs::Registry::global().exportJson(f);
-            std::fprintf(stderr, "enzhpcc: wrote %s\n",
-                         opt.json_path.c_str());
-        }
-    }
+    if (opt.json)
+        wrote &= tool.writeTo(*opt.json, [](std::ostream &os) {
+            obs::Registry::global().exportJson(os);
+        });
 
     if (failures) {
         std::printf("\nFAIL: %d kernel(s) diverged from the "
                     "reference\n",
                     failures);
-        return 1;
+        return cli::exitFailure;
     }
-    return 0;
+    return wrote ? 0 : cli::exitFailure;
 }

@@ -10,16 +10,7 @@
  * fault plan the sweep runs twice — clean and faulted — and reports
  * the capacity the faults cost.
  *
- * Usage:
- *   enzload [--service gbdt|rdma|tcp] [--sweep [LO:HI:N]] [--rate R]
- *           [--process poisson|mmpp|diurnal] [--duration-ms X]
- *           [--window-ms X] [--slo-us X] [--slo-quantile Q]
- *           [--clients N] [--seed N] [--points N]
- *           [--batch N] [--engines N] [--bytes N]
- *           [--path dram|eci-host] [--flows N]
- *           [--plan FILE] [--protocol NAME] [--threads N]
- *           [--users-rps R] [--trace [FILE]] [--trace-requests N]
- *           [--json [FILE]] [--csv [FILE]]
+ * Run `enzload --help` for the options.
  *
  * Default is an auto sweep (geometric ladder from 10% to 150% of the
  * testbed's estimated capacity). --rate runs one operating point
@@ -27,18 +18,17 @@
  * other services fall back to the single-queue machine).
  *
  * Exit status: 0 if a knee was found (or --rate met the SLO), 1 if no
- * operating point met the SLO, 2 on usage errors.
+ * operating point met the SLO or an output could not be written, 2 on
+ * usage errors.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "base/cli.hh"
+#include "eci/protocol_table.hh"
 #include "fault/fault_plan.hh"
 #include "load/testbed.hh"
 #include "obs/json.hh"
@@ -49,91 +39,18 @@ using namespace enzian;
 
 namespace {
 
-void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: enzload [--service gbdt|rdma|tcp] [--sweep [LO:HI:N]]\n"
-        "               [--rate R] [--process poisson|mmpp|diurnal]\n"
-        "               [--duration-ms X] [--window-ms X] [--slo-us X]\n"
-        "               [--slo-quantile Q] [--clients N] [--seed N]\n"
-        "               [--points N] [--batch N] [--engines N]\n"
-        "               [--bytes N] [--path dram|eci-host] [--flows N]\n"
-        "               [--plan FILE] [--protocol NAME] [--threads N]\n"
-        "               [--users-rps R] [--trace [FILE]]\n"
-        "               [--trace-requests N] [--json [FILE]]\n"
-        "               [--csv [FILE]]\n");
-    std::exit(2);
-}
-
-std::uint64_t
-parseU64(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s, &end, 0);
-    if (!end || *end) {
-        std::fprintf(stderr, "enzload: bad %s '%s'\n", what, s);
-        std::exit(2);
-    }
-    return v;
-}
-
-double
-parseF64(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (!end || *end) {
-        std::fprintf(stderr, "enzload: bad %s '%s'\n", what, s);
-        std::exit(2);
-    }
-    return v;
-}
-
-/** Write via @p fn to @p path, or stdout for "-"/empty. */
-template <typename Fn>
-void
-writeTo(const std::string &path, Fn fn)
-{
-    if (path.empty() || path == "-") {
-        fn(std::cout);
-        return;
-    }
-    std::ofstream f(path, std::ios::trunc);
-    if (!f) {
-        std::fprintf(stderr, "enzload: cannot open '%s'\n",
-                     path.c_str());
-        std::exit(1);
-    }
-    fn(f);
-    std::fprintf(stderr, "enzload: wrote %s\n", path.c_str());
-}
-
-/** Optional FILE operand: consume argv[i+1] unless it is a flag. */
-std::string
-fileOperand(int argc, char **argv, int &i)
-{
-    if (i + 1 < argc && argv[i + 1][0] != '-')
-        return argv[++i];
-    return "-";
-}
-
 /** Parse a LO:HI:N ladder spec. */
 std::vector<double>
-parseLadder(const std::string &spec)
+parseLadder(const cli::Tool &tool, const std::string &spec)
 {
     double lo = 0, hi = 0;
     unsigned long n = 0;
     char trailing = 0;
     if (std::sscanf(spec.c_str(), "%lf:%lf:%lu%c", &lo, &hi, &n,
                     &trailing) != 3 ||
-        lo <= 0 || hi < lo || n < 1) {
-        std::fprintf(stderr, "enzload: bad sweep spec '%s' "
-                             "(want LO:HI:N)\n",
-                     spec.c_str());
-        std::exit(2);
-    }
+        lo <= 0 || hi < lo || n < 1)
+        tool.usageError("bad sweep spec '%s' (want LO:HI:N)",
+                        spec.c_str());
     return load::geometricRates(lo, hi, n);
 }
 
@@ -189,101 +106,81 @@ int
 main(int argc, char **argv)
 {
     load::SweepConfig cfg;
-    std::optional<fault::FaultPlan> plan;
-    double rate = 0.0;
-    bool sweep = false;
-    double users_rps = 0.0;
-    bool want_json = false, want_csv = false, want_trace = false;
-    std::string json_path, csv_path, trace_path;
+    std::string service = "gbdt", process = "poisson", plan_file;
+    std::optional<std::string> sweep, json, csv, trace;
+    std::optional<std::uint64_t> seed, bytes;
+    std::optional<double> duration_ms, window_ms;
+    double rate = 0.0, users_rps = 0.0;
     std::uint64_t trace_requests = 0;
+    cfg.testbed.threads = cli::envThreads();
+    cli::Tool tool("enzload",
+                   "Open-loop load generation and capacity planning: "
+                   "sweep offered load and\nreport the knee (exit 1 "
+                   "when no operating point meets the SLO).");
+    tool.choice("--service", service, {"gbdt", "rdma", "tcp"},
+                "service to drive (default gbdt)")
+        .optionalValue("--sweep", sweep, "LO:HI:N",
+                       "saturation sweep (default: auto ladder)")
+        .value("--rate", rate, "R", "run one offered rate (req/s)")
+        .choice("--process", process, {"poisson", "mmpp", "diurnal"},
+                "arrival process (default poisson)")
+        .value("--duration-ms", duration_ms, "X",
+               "run length per point (default 50)")
+        .value("--window-ms", window_ms, "X", "SLO window (default 5)")
+        .value("--slo-us", cfg.slo_latency_us, "X",
+               "latency SLO (default 1000)")
+        .value("--slo-quantile", cfg.slo_quantile, "Q",
+               "SLO quantile (default 0.99)")
+        .value("--clients", cfg.clients, "N", "client population")
+        .value("--seed", seed, "N", "testbed and arrival seed (default 1)")
+        .value("--points", cfg.auto_points, "N",
+               "auto-ladder points (default 8)")
+        .value("--batch", cfg.testbed.gbdt_batch, "N", "GBDT batch size")
+        .value("--engines", cfg.testbed.gbdt_engines, "N",
+               "GBDT engines")
+        .value("--bytes", bytes, "N", "RDMA read / TCP echo size")
+        .choice("--path", cfg.testbed.rdma_path, {"dram", "eci-host"},
+                "RDMA target memory (default dram)")
+        .value("--flows", cfg.testbed.tcp_flows, "N", "TCP flows")
+        .value("--plan", plan_file, "FILE",
+               "also sweep under this fault plan")
+        .choice("--protocol", cfg.testbed.protocol,
+                eci::proto::protocolNames(),
+                "coherence protocol (default moesi)")
+        .value("--threads", cfg.testbed.threads, "N",
+               "parallel timing domains, GBDT only (default "
+               "ENZIAN_THREADS)")
+        .value("--users-rps", users_rps, "R",
+               "per-user rate: report supported users at the knee")
+        .optionalValue("--trace", trace, "FILE",
+                       "per-request Perfetto trace of the knee point")
+        .value("--trace-requests", trace_requests, "N",
+               "requests to trace (default 32)")
+        .optionalValue("--json", json, "FILE", "sweep summary JSON")
+        .optionalValue("--csv", csv, "FILE", "sweep points CSV")
+        .parse(argc, argv);
 
-    if (const char *env = std::getenv("ENZIAN_THREADS"); env && *env)
-        cfg.testbed.threads = static_cast<std::uint32_t>(
-            std::strtoul(env, nullptr, 10));
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (!std::strcmp(arg, "--service") && i + 1 < argc) {
-            cfg.testbed.service =
-                load::serviceKindFromString(argv[++i]);
-        } else if (!std::strcmp(arg, "--sweep")) {
-            sweep = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                cfg.rates = parseLadder(argv[++i]);
-        } else if (!std::strcmp(arg, "--rate") && i + 1 < argc) {
-            rate = parseF64(argv[++i], "rate");
-        } else if (!std::strcmp(arg, "--process") && i + 1 < argc) {
-            cfg.arrival.kind =
-                load::arrivalKindFromString(argv[++i]);
-        } else if (!std::strcmp(arg, "--duration-ms") &&
-                   i + 1 < argc) {
-            cfg.duration =
-                units::ms(parseF64(argv[++i], "duration"));
-        } else if (!std::strcmp(arg, "--window-ms") && i + 1 < argc) {
-            cfg.window = units::ms(parseF64(argv[++i], "window"));
-        } else if (!std::strcmp(arg, "--slo-us") && i + 1 < argc) {
-            cfg.slo_latency_us = parseF64(argv[++i], "slo");
-        } else if (!std::strcmp(arg, "--slo-quantile") &&
-                   i + 1 < argc) {
-            cfg.slo_quantile = parseF64(argv[++i], "quantile");
-        } else if (!std::strcmp(arg, "--clients") && i + 1 < argc) {
-            cfg.clients = parseU64(argv[++i], "clients");
-        } else if (!std::strcmp(arg, "--seed") && i + 1 < argc) {
-            cfg.testbed.seed = parseU64(argv[++i], "seed");
-            cfg.arrival.seed = cfg.testbed.seed;
-        } else if (!std::strcmp(arg, "--points") && i + 1 < argc) {
-            cfg.auto_points = parseU64(argv[++i], "points");
-        } else if (!std::strcmp(arg, "--batch") && i + 1 < argc) {
-            cfg.testbed.gbdt_batch = parseU64(argv[++i], "batch");
-        } else if (!std::strcmp(arg, "--engines") && i + 1 < argc) {
-            cfg.testbed.gbdt_engines = static_cast<std::uint32_t>(
-                parseU64(argv[++i], "engines"));
-        } else if (!std::strcmp(arg, "--bytes") && i + 1 < argc) {
-            cfg.testbed.rdma_bytes = parseU64(argv[++i], "bytes");
-            cfg.testbed.tcp_bytes = cfg.testbed.rdma_bytes;
-        } else if (!std::strcmp(arg, "--path") && i + 1 < argc) {
-            cfg.testbed.rdma_path = argv[++i];
-        } else if (!std::strcmp(arg, "--flows") && i + 1 < argc) {
-            cfg.testbed.tcp_flows = static_cast<std::uint32_t>(
-                parseU64(argv[++i], "flows"));
-        } else if (!std::strcmp(arg, "--plan") && i + 1 < argc) {
-            std::string err;
-            plan = fault::FaultPlan::parseFile(argv[++i], err);
-            if (!plan) {
-                std::fprintf(stderr, "enzload: %s\n", err.c_str());
-                return 2;
-            }
-        } else if (!std::strcmp(arg, "--protocol") && i + 1 < argc) {
-            cfg.testbed.protocol = argv[++i];
-        } else if (!std::strcmp(arg, "--threads") && i + 1 < argc) {
-            cfg.testbed.threads = static_cast<std::uint32_t>(
-                parseU64(argv[++i], "threads"));
-        } else if (!std::strcmp(arg, "--users-rps") && i + 1 < argc) {
-            users_rps = parseF64(argv[++i], "users-rps");
-        } else if (!std::strcmp(arg, "--trace")) {
-            want_trace = true;
-            trace_path = fileOperand(argc, argv, i);
-        } else if (!std::strcmp(arg, "--trace-requests") &&
-                   i + 1 < argc) {
-            trace_requests = parseU64(argv[++i], "trace-requests");
-        } else if (!std::strcmp(arg, "--json")) {
-            want_json = true;
-            json_path = fileOperand(argc, argv, i);
-        } else if (!std::strcmp(arg, "--csv")) {
-            want_csv = true;
-            csv_path = fileOperand(argc, argv, i);
-        } else {
-            if (std::strcmp(arg, "--help"))
-                std::fprintf(stderr, "enzload: unknown option '%s'\n",
-                             arg);
-            usage();
-        }
+    cfg.testbed.service = load::serviceKindFromString(service);
+    cfg.arrival.kind = load::arrivalKindFromString(process);
+    if (duration_ms)
+        cfg.duration = units::ms(*duration_ms);
+    if (window_ms)
+        cfg.window = units::ms(*window_ms);
+    if (seed)
+        cfg.testbed.seed = cfg.arrival.seed = *seed;
+    if (bytes)
+        cfg.testbed.rdma_bytes = cfg.testbed.tcp_bytes = *bytes;
+    if (sweep && !sweep->empty())
+        cfg.rates = parseLadder(tool, *sweep);
+    std::optional<fault::FaultPlan> plan;
+    if (!plan_file.empty()) {
+        std::string err;
+        plan = fault::FaultPlan::parseFile(plan_file, err);
+        if (!plan)
+            tool.usageError("%s", err.c_str());
     }
-    if (rate > 0.0 && sweep) {
-        std::fprintf(stderr,
-                     "enzload: --rate and --sweep are exclusive\n");
-        return 2;
-    }
+    if (rate > 0.0 && sweep)
+        tool.usageError("--rate and --sweep are exclusive");
     if (rate > 0.0)
         cfg.rates = {rate};
 
@@ -322,7 +219,8 @@ main(int argc, char **argv)
 
     // Per-request tracing: rerun the knee point (or the lightest
     // point if nothing met the SLO) with the tracer on.
-    if (want_trace && !base.points.empty()) {
+    bool wrote = true;
+    if (trace && !base.points.empty()) {
         const int idx = base.knee >= 0 ? base.knee : 0;
         load::TestbedConfig tbc = cfg.testbed;
         tbc.plan = nullptr;
@@ -347,13 +245,13 @@ main(int argc, char **argv)
         gen.start();
         bed.run();
         tracer.setEnabled(false);
-        writeTo(trace_path, [&](std::ostream &os) {
+        wrote &= tool.writeTo(*trace, [&](std::ostream &os) {
             tracer.writeChromeJson(os);
         });
     }
 
-    if (want_json)
-        writeTo(json_path, [&](std::ostream &os) {
+    if (json)
+        wrote &= tool.writeTo(*json, [&](std::ostream &os) {
             os << "{\n  \"service\": " << obs::json::quote(svc)
                << ",\n  \"process\": "
                << obs::json::quote(
@@ -391,8 +289,8 @@ main(int argc, char **argv)
             os << "\n}\n";
         });
 
-    if (want_csv)
-        writeTo(csv_path, [&](std::ostream &os) {
+    if (csv)
+        wrote &= tool.writeTo(*csv, [&](std::ostream &os) {
             os << "run,offered_rps,offered,completed,achieved_rps,"
                   "p50_us,p99_us,p999_us,mean_us,max_us,burn_rate,"
                   "slo_ok\n";
@@ -418,5 +316,5 @@ main(int argc, char **argv)
                 rows(*faulted, "faulted");
         });
 
-    return base.knee >= 0 ? 0 : 1;
+    return base.knee >= 0 && wrote ? 0 : cli::exitFailure;
 }

@@ -11,36 +11,15 @@
  * through puts plus cross-node gets, and reports the rack's shape,
  * the derived epoch lookahead, and the service counters.
  *
- * Usage:
- *   enzrack --topology FILE   rack description (see DESIGN.md §11)
- *   enzrack --nodes N         uniform rack of N nodes (default 4)
- *   enzrack --ports N         ports per node for --nodes (default 4)
- *   enzrack --threads N       parallel timing domains on N threads
- *                             (0 = legacy shared queue; also honors
- *                             ENZIAN_THREADS)
- *   enzrack --adaptive        adaptive epochs: grow past the fixed
- *                             lookahead step to the provable delivery
- *                             bound when the rack is quiescent
- *                             (parallel mode only; results stay
- *                             bit-identical at any thread count)
- *   enzrack --ops N           puts per node (default 4)
- *   enzrack --describe        print the canonical topology and exit
- *   enzrack --check-determinism
- *                             run the workload at 1 thread and at
- *                             --threads threads and byte-compare the
- *                             stats registries; exit non-zero on any
- *                             divergence
- *   enzrack --json [FILE]     also dump the stats registry JSON
+ * Run `enzrack --help` for the options.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "base/cli.hh"
 #include "cluster/enzian_cluster.hh"
 #include "cluster/replicated_kv.hh"
 #include "obs/registry.hh"
@@ -50,31 +29,6 @@ using namespace enzian;
 using namespace enzian::cluster;
 
 namespace {
-
-void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: enzrack [--topology FILE | --nodes N "
-                 "[--ports N]]\n"
-                 "               [--threads N] [--adaptive] [--ops N]\n"
-                 "               [--describe]\n"
-                 "               [--check-determinism] [--json "
-                 "[FILE]]\n");
-    std::exit(2);
-}
-
-std::uint32_t
-parseU32(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(s, &end, 0);
-    if (!end || *end) {
-        std::fprintf(stderr, "enzrack: bad %s '%s'\n", what, s);
-        std::exit(2);
-    }
-    return static_cast<std::uint32_t>(v);
-}
 
 struct RackResult
 {
@@ -159,43 +113,31 @@ main(int argc, char **argv)
 {
     std::string topo_file;
     std::uint32_t nodes = 4, ports = 4, ops = 4;
-    std::uint32_t threads = 0;
-    if (const char *s = std::getenv("ENZIAN_THREADS"); s && *s)
-        threads = parseU32(s, "ENZIAN_THREADS");
-    bool describe = false, check = false, json = false;
-    bool adaptive = false;
-    std::string json_file;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
-        if (arg == "--topology")
-            topo_file = next();
-        else if (arg == "--nodes")
-            nodes = parseU32(next(), "--nodes");
-        else if (arg == "--ports")
-            ports = parseU32(next(), "--ports");
-        else if (arg == "--threads")
-            threads = parseU32(next(), "--threads");
-        else if (arg == "--ops")
-            ops = parseU32(next(), "--ops");
-        else if (arg == "--adaptive")
-            adaptive = true;
-        else if (arg == "--describe")
-            describe = true;
-        else if (arg == "--check-determinism")
-            check = true;
-        else if (arg == "--json") {
-            json = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                json_file = argv[++i];
-        } else
-            usage();
-    }
+    std::uint32_t threads = cli::envThreads();
+    bool describe = false, check = false, adaptive = false;
+    std::optional<std::string> json;
+    cli::Tool tool("enzrack", "Boot a described Enzian rack and run a "
+                              "replicated-KV workload over it.");
+    tool.value("--topology", topo_file, "FILE",
+               "rack description (see DESIGN.md §11)")
+        .value("--nodes", nodes, "N", "uniform rack of N nodes (default 4)")
+        .value("--ports", ports, "N",
+               "ports per node for --nodes (default 4)")
+        .value("--threads", threads, "N",
+               "parallel timing domains on N threads (0 = legacy "
+               "shared queue; default ENZIAN_THREADS)")
+        .flag("--adaptive", adaptive,
+              "adaptive epochs up to the provable delivery bound "
+              "(needs --threads)")
+        .value("--ops", ops, "N", "puts per node (default 4)")
+        .flag("--describe", describe,
+              "print the canonical topology and exit")
+        .flag("--check-determinism", check,
+              "byte-compare the registries of a 1-thread and a "
+              "--threads run; exit 1 on divergence")
+        .optionalValue("--json", json, "FILE",
+                       "also dump the stats registry JSON")
+        .parse(argc, argv);
 
     const ClusterTopology topo =
         topo_file.empty() ? ClusterTopology::uniform(nodes, ports)
@@ -224,11 +166,8 @@ main(int argc, char **argv)
             return 1;
     }
 
-    if (adaptive && threads == 0) {
-        std::fprintf(stderr,
-                     "enzrack: --adaptive requires --threads >= 1\n");
-        return 2;
-    }
+    if (adaptive && threads == 0)
+        tool.usageError("--adaptive requires --threads >= 1");
     const auto res = runRack(topo, threads, ops, adaptive);
     std::printf("rack '%s': %u nodes, %u switch ports, %s\n",
                 topo.name.c_str(), topo.nodeCount(), topo.totalPorts(),
@@ -257,13 +196,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(res.remoteReads));
 
     if (json) {
-        if (json_file.empty()) {
-            std::fputs(res.registryJson.c_str(), stdout);
-        } else {
-            std::ofstream f(json_file, std::ios::trunc);
-            f << res.registryJson;
-            std::printf("  registry: %s\n", json_file.c_str());
-        }
+        if (!tool.writeTo(*json, [&](std::ostream &os) {
+                os << res.registryJson;
+            }))
+            return cli::exitFailure;
+        if (!json->empty() && *json != "-")
+            std::printf("  registry: %s\n", json->c_str());
     }
     return 0;
 }

@@ -8,24 +8,8 @@
  * latencies, home/remote agent occupancy, DRAM channel load, TCP and
  * vFPGA activity, and the CPU PMU in a single document.
  *
- * Usage:
- *   enzstat                      human-readable snapshot to stdout
- *   enzstat --json [FILE]        registry snapshot as JSON
- *   enzstat --prom [FILE]        Prometheus text exposition
- *   enzstat --csv  [FILE]        sampled time series (per-interval deltas)
- *   enzstat --trace [FILE]       Chrome/Perfetto span trace JSON
- *   enzstat --slo  [FILE]        windowed latency-percentile series from
- *                                a GBDT serving run at half capacity
- *   enzstat --interval-us N      sampling period for --csv (default 50000)
- *   enzstat --adaptive           adaptive epochs on the parallel
- *                                machine (implies 1 worker thread
- *                                unless ENZIAN_THREADS says more);
- *                                the scheduler's epoch_len histogram
- *                                and adaptive_grows/adaptive_shrinks
- *                                counters appear in every export
- *
- * FILE defaults to stdout ("-"). Options combine; each export runs
- * over the same single scenario.
+ * Run `enzstat --help` for the options. Each export runs over the
+ * same single scenario.
  *
  * ENZIAN_THREADS=N runs the machine as parallel timing domains on N
  * worker threads (same stats, bit-identical simulation). --csv is the
@@ -35,12 +19,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "base/cli.hh"
 #include "load/load_gen.hh"
 #include "load/testbed.hh"
 #include "obs/registry.hh"
@@ -53,97 +36,48 @@
 
 using namespace enzian;
 
-namespace {
-
-/** Write via @p fn to @p path, or stdout for "-"/empty. */
-template <typename Fn>
-void
-writeTo(const std::string &path, Fn fn)
-{
-    if (path.empty() || path == "-") {
-        fn(std::cout);
-        return;
-    }
-    std::ofstream f(path, std::ios::trunc);
-    if (!f) {
-        std::fprintf(stderr, "enzstat: cannot open '%s'\n",
-                     path.c_str());
-        std::exit(1);
-    }
-    fn(f);
-    std::fprintf(stderr, "enzstat: wrote %s\n", path.c_str());
-}
-
-/** Optional FILE operand: consume argv[i+1] unless it is a flag. */
-std::string
-fileOperand(int argc, char **argv, int &i)
-{
-    if (i + 1 < argc && argv[i + 1][0] != '-')
-        return argv[++i];
-    return "-";
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    bool json = false, prom = false, csv = false, trace = false;
-    bool slo = false, adaptive = false;
-    std::string json_path, prom_path, csv_path, trace_path, slo_path;
+    std::optional<std::string> json, prom, csv, trace, slo;
     double interval_us = 50000.0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            json = true;
-            json_path = fileOperand(argc, argv, i);
-        } else if (std::strcmp(argv[i], "--prom") == 0) {
-            prom = true;
-            prom_path = fileOperand(argc, argv, i);
-        } else if (std::strcmp(argv[i], "--csv") == 0) {
-            csv = true;
-            csv_path = fileOperand(argc, argv, i);
-        } else if (std::strcmp(argv[i], "--trace") == 0) {
-            trace = true;
-            trace_path = fileOperand(argc, argv, i);
-        } else if (std::strcmp(argv[i], "--slo") == 0) {
-            slo = true;
-            slo_path = fileOperand(argc, argv, i);
-        } else if (std::strcmp(argv[i], "--interval-us") == 0 &&
-                   i + 1 < argc) {
-            interval_us = std::atof(argv[++i]);
-        } else if (std::strcmp(argv[i], "--adaptive") == 0) {
-            adaptive = true;
-        } else {
-            std::fprintf(stderr,
-                         "usage: enzstat [--json [FILE]] "
-                         "[--prom [FILE]] [--csv [FILE]] "
-                         "[--trace [FILE]] [--slo [FILE]] "
-                         "[--interval-us N] [--adaptive]\n");
-            return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
-        }
-    }
-    if (interval_us <= 0) {
-        std::fprintf(stderr, "enzstat: bad --interval-us\n");
-        return 2;
-    }
+    bool adaptive = false;
+    const std::uint32_t threads = cli::envThreads();
+    cli::Tool tool("enzstat",
+                   "Run the observability demo scenario on a full Enzian "
+                   "machine and export\nits statistics (default: a "
+                   "human-readable dump).");
+    tool.optionalValue("--json", json, "FILE", "registry snapshot as JSON")
+        .optionalValue("--prom", prom, "FILE",
+                       "Prometheus text exposition")
+        .optionalValue("--csv", csv, "FILE",
+                       "sampled time series (per-interval deltas)")
+        .optionalValue("--trace", trace, "FILE",
+                       "Chrome/Perfetto span trace JSON")
+        .optionalValue("--slo", slo, "FILE",
+                       "windowed latency-percentile series of a GBDT "
+                       "serving run")
+        .value("--interval-us", interval_us, "N",
+               "sampling period for --csv (default 50000)")
+        .flag("--adaptive", adaptive,
+              "adaptive epochs on the parallel machine (at least 1 "
+              "worker thread)")
+        .parse(argc, argv);
+    if (interval_us <= 0)
+        tool.usageError("bad --interval-us");
 
     auto cfg = platform::enzianDefaultConfig();
     cfg.cpu_dram_bytes = 256ull << 20;
     cfg.fpga_dram_bytes = 256ull << 20;
     cfg.bitstream = "coyote-shell"; // demo schedules vFPGA apps
-    if (const char *env = std::getenv("ENZIAN_THREADS");
-        env && *env) {
-        const auto threads = static_cast<std::uint32_t>(
-            std::strtoul(env, nullptr, 10));
-        if (threads > 0 && csv) {
-            std::fprintf(stderr,
-                         "enzstat: --csv samples the registry "
-                         "mid-run; ignoring ENZIAN_THREADS=%u and "
-                         "using the single-queue machine\n",
-                         threads);
-        } else if (threads > 0) {
-            cfg.threads = threads;
-        }
+    if (threads > 0 && csv) {
+        std::fprintf(stderr,
+                     "enzstat: --csv samples the registry mid-run; "
+                     "ignoring ENZIAN_THREADS=%u and using the "
+                     "single-queue machine\n",
+                     threads);
+    } else {
+        cfg.threads = threads;
     }
     if (adaptive) {
         if (csv) {
@@ -159,7 +93,7 @@ main(int argc, char **argv)
     platform::ObsDemo demo(m);
 
     obs::SpanTracer &tracer = obs::SpanTracer::global();
-    tracer.setEnabled(trace);
+    tracer.setEnabled(trace.has_value());
 
     // The sampler pre-schedules its snapshot events; the demo's FPGA
     // phase runs into the seconds (partial reconfiguration), so cover
@@ -189,6 +123,7 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(sched->adaptiveShrinks()));
     }
 
+    bool wrote = true;
     if (slo) {
         // A second, independent run: Poisson arrivals into the GBDT
         // serving testbed at half its estimated capacity, reported as
@@ -205,26 +140,26 @@ main(int argc, char **argv)
         gen.start();
         bed.run();
         rec.rollTo(bed.machine().now());
-        writeTo(slo_path, [&](std::ostream &os) {
+        wrote &= tool.writeTo(*slo, [&](std::ostream &os) {
             rec.writeCsv(os);
         });
     }
 
     obs::Registry &reg = obs::Registry::global();
     if (json)
-        writeTo(json_path, [&](std::ostream &os) {
+        wrote &= tool.writeTo(*json, [&](std::ostream &os) {
             reg.exportJson(os);
         });
     if (prom)
-        writeTo(prom_path, [&](std::ostream &os) {
+        wrote &= tool.writeTo(*prom, [&](std::ostream &os) {
             reg.exportPrometheus(os);
         });
     if (csv)
-        writeTo(csv_path, [&](std::ostream &os) {
+        wrote &= tool.writeTo(*csv, [&](std::ostream &os) {
             sampler.writeCsv(os);
         });
     if (trace)
-        writeTo(trace_path, [&](std::ostream &os) {
+        wrote &= tool.writeTo(*trace, [&](std::ostream &os) {
             tracer.writeChromeJson(os);
         });
 
@@ -233,5 +168,5 @@ main(int argc, char **argv)
         for (const StatGroup *g : reg.groups())
             g->dump(std::cout);
     }
-    return 0;
+    return wrote ? 0 : cli::exitFailure;
 }
