@@ -71,7 +71,7 @@ EciLink::bindDomains(sim::DomainScheduler &sched,
                   minCrossLatency(cfg_));
     lanes_ = std::make_unique<std::array<sim::ChannelLane<EciMsg>, 2>>();
     for (std::size_t dir = 0; dir < 2; ++dir) {
-        (*lanes_)[dir].attach(*dirBind_.channel(dir),
+        (*lanes_)[dir].attach(dirBind_.channel(dir),
                               [this](EciMsg &m) {
                                   handlers_[static_cast<std::size_t>(
                                       m.dst)](m);
@@ -209,61 +209,25 @@ EciLink::recordTx(std::size_t dir, Tick tnow, const EciMsg &msg,
 Tick
 EciLink::send(const EciMsg &msg)
 {
-    if (domainMode())
-        return sendDomain(msg);
+    // In domain mode time comes from the sending direction's domain
+    // clock, statistics and taps go to that direction's stage, and
+    // delivery crosses through the scheduler's mailbox so the
+    // destination domain schedules it at the epoch barrier.
     const auto dir = static_cast<std::size_t>(msg.src);
-    if (fault_) {
-        const FaultAction act = fault_(now(), msg);
-        if (act != FaultAction::Deliver)
-            return sendFaulted(now(), msg, act);
-    }
-    for (const Tap &tap : taps_)
-        tap(now(), msg);
-
-    const TxTiming t = txTiming(now(), msg);
-    recordTx(dir, now(), msg, t);
-    ENZIAN_SPAN(name(), toString(msg.op), t.start, t.delivery);
-
-    Handler &h = handlers_[static_cast<std::size_t>(msg.dst)];
-    ENZIAN_ASSERT(h, "no receiver registered for node %s on %s",
-                  mem::toString(msg.dst), name().c_str());
-
-    // The serializer is FIFO per direction, so deliveries land in
-    // order; append to the direction's queue and let its one reusable
-    // event drain it. Fall back to a one-shot for the (src == dst)
-    // corner where the receiver-side latency breaks monotonicity.
-    DeliveryQueue &q = deliverQ_[dir];
-    if (!q.fifo.empty() && t.delivery < q.fifo.back().first) {
-        EciMsg copy = msg;
-        eventq().schedule(
-            t.delivery, [this, copy]() {
-                handlers_[static_cast<std::size_t>(copy.dst)](copy);
-            },
-            "eci-deliver-ooo");
-        return t.delivery;
-    }
-    q.fifo.emplace_back(t.delivery, msg);
-    if (!q.ev.scheduled())
-        q.ev.schedule(q.fifo.front().first);
-    return t.delivery;
-}
-
-Tick
-EciLink::sendDomain(const EciMsg &msg)
-{
-    // Parallel path: time comes from the sending direction's domain
-    // clock, statistics go to that direction's stage, and delivery
-    // crosses through the scheduler's mailbox so the destination
-    // domain schedules it at the epoch barrier.
-    const auto dir = static_cast<std::size_t>(msg.src);
-    const Tick tnow = dirBind_.now(dir);
+    const bool domain = domainMode();
+    const Tick tnow = domain ? dirBind_.now(dir) : now();
     if (fault_) {
         const FaultAction act = fault_(tnow, msg);
         if (act != FaultAction::Deliver)
             return sendFaulted(tnow, msg, act);
     }
-    if (!taps_.empty())
-        tapStage_[dir].emplace_back(tnow, msg);
+    if (domain) {
+        if (!taps_.empty())
+            tapStage_[dir].emplace_back(tnow, msg);
+    } else {
+        for (const Tap &tap : taps_)
+            tap(tnow, msg);
+    }
 
     const TxTiming t = txTiming(tnow, msg);
     recordTx(dir, tnow, msg, t);
@@ -273,21 +237,35 @@ EciLink::sendDomain(const EciMsg &msg)
     ENZIAN_ASSERT(h, "no receiver registered for node %s on %s",
                   mem::toString(msg.dst), name().c_str());
 
-    if (msg.dst == msg.src) {
-        // Loopback stays inside the sending domain.
-        const EciMsg copy = msg;
-        dirBind_.clock(dir).schedule(
+    if (!domain) {
+        // The serializer is FIFO per direction, so deliveries land in
+        // order; append to the direction's queue and let its one
+        // reusable event drain it.
+        DeliveryQueue &q = deliverQ_[dir];
+        if (q.fifo.empty() || t.delivery >= q.fifo.back().first) {
+            q.fifo.emplace_back(t.delivery, msg);
+            if (!q.ev.scheduled())
+                q.ev.schedule(q.fifo.front().first);
+            return t.delivery;
+        }
+    } else if (msg.dst != msg.src) {
+        // The message rides the direction's slot arena: no
+        // per-message allocation, and the barrier drain stays
+        // cache-linear over the channel's entry stream.
+        (*lanes_)[dir].push(t.delivery, msg);
+        return t.delivery;
+    }
+    // One-shot delivery: loopback in domain mode stays inside the
+    // sending domain; on the single queue this is the (src == dst)
+    // corner where the receiver-side latency breaks monotonicity.
+    const EciMsg copy = msg;
+    (domain ? dirBind_.clock(dir) : eventq())
+        .schedule(
             t.delivery,
             [this, copy]() {
                 handlers_[static_cast<std::size_t>(copy.dst)](copy);
             },
-            "eci-deliver-local");
-        return t.delivery;
-    }
-    // Cross-domain: the message rides the direction's slot arena —
-    // no per-message allocation, and the barrier drain stays
-    // cache-linear over the channel's entry stream.
-    (*lanes_)[dir].push(t.delivery, msg);
+            domain ? "eci-deliver-local" : "eci-deliver-ooo");
     return t.delivery;
 }
 

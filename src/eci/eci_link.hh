@@ -227,7 +227,6 @@ class EciLink : public SimObject
     void recomputeBandwidth();
     Tick procLatency(mem::NodeId node) const;
     void deliverNext(std::size_t dir);
-    Tick sendDomain(const EciMsg &msg);
     Tick sendFaulted(Tick tnow, const EciMsg &msg, FaultAction act);
     void beginRetrain(Tick duration);
     TxTiming txTiming(Tick tnow, const EciMsg &msg);

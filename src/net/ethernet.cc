@@ -47,15 +47,11 @@ EthernetLink::bindDomains(sim::DomainScheduler &sched,
     // in the rack pins the global minimum lower.
     dirBind_.bind(sched, side0_domain, side1_domain,
                   minCrossLatency(cfg_));
-    if (dirBind_.crossDomain()) {
-        lanes_ =
-            std::make_unique<std::array<sim::ChannelLane<Frame>, 2>>();
-        for (std::size_t side = 0; side < 2; ++side) {
-            (*lanes_)[side].attach(
-                *dirBind_.channel(side), [this](Frame &f) {
-                    handlers_[f.to](f.delivery, f.payload, f.tag);
-                });
-        }
+    lanes_ = std::make_unique<std::array<sim::ChannelLane<Frame>, 2>>();
+    for (std::size_t side = 0; side < 2; ++side) {
+        (*lanes_)[side].attach(dirBind_.channel(side), [this](Frame &f) {
+            handlers_[f.to](f.delivery, f.payload, f.tag);
+        });
     }
 }
 
@@ -101,18 +97,11 @@ EthernetLink::send(PortSide from, std::uint64_t payload,
                 handlers_[to](delivery, payload, tag);
             },
             "eth-deliver");
-    } else if (dirBind_.crossDomain()) {
+    } else {
         // Frames cross through the side's slot arena: the channel
         // records only (tick, lane, slot) and the delivery closure is
         // a two-word inline capture.
         (*lanes_)[from].push(delivery, Frame{delivery, payload, tag, to});
-    } else { // both sides in one domain: deliver locally
-        dirBind_.clock(from).schedule(
-            delivery,
-            [this, to, delivery, payload, tag]() {
-                handlers_[to](delivery, payload, tag);
-            },
-            "eth-deliver");
     }
     return delivery;
 }

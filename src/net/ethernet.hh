@@ -59,9 +59,8 @@ class EthernetLink : public SimObject
     /**
      * Switch the link into parallel domain mode: each side reads time
      * from its own domain's clock and deliveries toward the other side
-     * cross through the scheduler's channels. When both sides live in
-     * the same domain, deliveries stay local. Must be called before
-     * the scheduler starts.
+     * cross through the scheduler's channels. The two sides must live
+     * in distinct domains. Must be called before the scheduler starts.
      */
     void bindDomains(sim::DomainScheduler &sched,
                      sim::TimingDomain &side0_domain,
@@ -118,7 +117,7 @@ class EthernetLink : public SimObject
      *  link's own latency floor as the pair lookahead (per-port cable
      *  latencies become per-pair lookaheads). */
     sim::DirDomainBinding dirBind_;
-    /** Per-side frame slot arenas (cross-domain bindings only). */
+    /** Per-side frame slot arenas (domain mode only). */
     std::unique_ptr<std::array<sim::ChannelLane<Frame>, 2>> lanes_;
 };
 

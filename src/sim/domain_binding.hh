@@ -9,10 +9,9 @@
  * statistics that fold into the aggregate at epoch barriers in a
  * fixed order. This header is that pattern, written once:
  *
- *  - DirDomainBinding owns the clock/channel pair per direction and
- *    the same-domain special case (no channels: deliveries stay
- *    local), plus the per-pair lookahead the component derives from
- *    its own latency floor.
+ *  - DirDomainBinding owns the clock/channel pair per direction
+ *    between two distinct domains, bound with the per-pair lookahead
+ *    the component derives from its own latency floor.
  *  - DirStaged<T> owns the lazily-armed two-entry stage array whose
  *    allocation doubles as the "domain mode" flag, and folds the
  *    stages in direction order (0 then 1) so the folded aggregate is
@@ -34,41 +33,37 @@ namespace enzian::sim {
 
 /**
  * Per-direction clock + outbound channel for one full-duplex link
- * between two timing domains. Direction d is "side d sends": its
- * clock is side d's domain queue and its channel carries toward side
- * d ^ 1. When both sides share one domain there are no channels and
- * crossDomain() is false — deliveries should then be scheduled
- * locally on the (shared) clock.
+ * between two distinct timing domains. Direction d is "side d
+ * sends": its clock is side d's domain queue and its channel carries
+ * toward side d ^ 1.
  */
 class DirDomainBinding
 {
   public:
     /**
-     * Bind side 0 to @p d0 and side 1 to @p d1, creating (or sharing)
-     * the channel pair with @p pair_lookahead (0 = the scheduler's
-     * base lookahead; see DomainScheduler::channel). Must precede the
-     * scheduler start.
+     * Bind side 0 to @p d0 and side 1 to @p d1 (two distinct
+     * domains), creating (or sharing) the channel pair with
+     * @p pair_lookahead (see DomainScheduler::channel). Must precede
+     * the scheduler start.
      */
     void
     bind(DomainScheduler &sched, TimingDomain &d0, TimingDomain &d1,
-         Tick pair_lookahead = 0)
+         Tick pair_lookahead)
     {
         ENZIAN_ASSERT(!bound(), "direction binding bound twice");
+        ENZIAN_ASSERT(&d0 != &d1,
+                      "direction binding needs two distinct domains");
         clock_[0] = &d0.queue();
         clock_[1] = &d1.queue();
-        if (&d0 != &d1) {
-            chan_[0] = &sched.channel(d0, d1, pair_lookahead);
-            chan_[1] = &sched.channel(d1, d0, pair_lookahead);
-        }
+        chan_[0] = &sched.channel(d0, d1, pair_lookahead);
+        chan_[1] = &sched.channel(d1, d0, pair_lookahead);
     }
 
     bool bound() const { return clock_[0] != nullptr; }
-    /** False when both sides share a domain (local delivery). */
-    bool crossDomain() const { return chan_[0] != nullptr; }
 
     EventQueue &clock(std::size_t dir) { return *clock_[dir]; }
-    /** Outbound channel for @p dir; null when !crossDomain(). */
-    CrossDomainChannel *channel(std::size_t dir) { return chan_[dir]; }
+    /** Outbound channel for @p dir. */
+    CrossDomainChannel &channel(std::size_t dir) { return *chan_[dir]; }
     Tick now(std::size_t dir) const { return clock_[dir]->now(); }
 
   private:

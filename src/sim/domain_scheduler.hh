@@ -5,11 +5,11 @@
  * The platform is sharded into timing domains — each a TimingDomain
  * owning its own EventQueue and the SimObjects bound to it (the CPU
  * cluster, caches and DRAM in one; the FPGA, home agent and
- * accelerators in another; optionally the NIC/switch fabric, DRAM
- * channels and BMC in domains of their own). Domains only interact
- * through cross-domain channels, whose modeled link latency gives a
- * guaranteed lower bound on cross-domain reaction time: the
- * conservative lookahead of that channel.
+ * accelerators in another; in a rack, one more for the switch
+ * fabric). Domains only interact through cross-domain channels,
+ * whose modeled link latency gives a guaranteed lower bound on
+ * cross-domain reaction time: the conservative lookahead of that
+ * channel, never below the scheduler's base lookahead.
  *
  * The scheduler runs the domains in lockstep epochs (CHESSY-style
  * coupling over MGSim-style component DES):
@@ -26,11 +26,11 @@
  *      insertion sequence), and registered barrier tasks (stats
  *      folds, tap flushes) run on the coordinator.
  *
- * Epoch length. In fixed mode the epoch is always the minimum channel
- * lookahead: end = T + L_min - 1. With Options::adaptive set, the
- * coordinator computes the true lower bound on the next cross-domain
- * delivery (LBTS) before each epoch: for every domain d that has
- * pending events and outbound channels,
+ * Epoch length. In fixed mode the epoch is always the base lookahead
+ * L, which no channel undercuts: end = T + L - 1. With
+ * Options::adaptive set, the coordinator computes the true lower
+ * bound on the next cross-domain delivery (LBTS) before each epoch:
+ * for every domain d that has pending events and outbound channels,
  *
  *     bound_d = max(nextEventTick_d, promise_d) + outLookahead_d
  *
@@ -153,9 +153,8 @@ class DomainScheduler
      * @param lookahead minimum cross-domain latency in ticks; must be
      *        > 0. Derive it from the platform (e.g.
      *        eci::EciLink::minCrossLatency), never hard-code it.
-     *        Channels may declare larger (or, rarely, smaller)
-     *        per-pair lookaheads; the fixed epoch step is the minimum
-     *        over all of them.
+     *        Channels may declare larger per-pair lookaheads, never
+     *        smaller, so this is also the fixed epoch step.
      * @param threads total threads participating in epoch execution,
      *        including the caller of run(); 0 is treated as 1.
      */
@@ -181,9 +180,9 @@ class DomainScheduler
      *
      * @param lookahead this user's bound on how soon after a source
      *        event a message may deliver (0 = the scheduler's base
-     *        lookahead). When several users share one channel the
-     *        channel enforces the minimum of their requests, so
-     *        registration order never matters.
+     *        lookahead); must not be below the base. When several
+     *        users share one channel the channel enforces the minimum
+     *        of their requests, so registration order never matters.
      */
     CrossDomainChannel &channel(TimingDomain &src, TimingDomain &dst,
                                 Tick lookahead = 0);
@@ -208,10 +207,8 @@ class DomainScheduler
     /** Simulated time every domain has reached (between runs). */
     Tick now() const { return now_; }
 
+    /** Base lookahead, which is also the fixed epoch step. */
     Tick lookahead() const { return lookahead_; }
-    /** Fixed epoch step: min lookahead over all channels (frozen at
-     *  start; equals lookahead() until a channel asks for less). */
-    Tick fixedStep() const { return fixedStep_; }
     std::uint32_t threads() const { return threads_; }
     bool adaptive() const { return opts_.adaptive; }
     const std::string &name() const { return stats_.name(); }
@@ -267,8 +264,6 @@ class DomainScheduler
     std::atomic<bool> stop_{false};
     Tick epochEnd_ = 0;
 
-    /** Min channel lookahead; frozen by startWorkers(). */
-    Tick fixedStep_ = 0;
     /** Did the previous epoch grow past the fixed step? */
     bool lastGrew_ = false;
 

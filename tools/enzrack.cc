@@ -147,6 +147,8 @@ main(int argc, char **argv)
         return 0;
     }
 
+    if (adaptive && threads == 0)
+        tool.usageError("--adaptive requires --threads >= 1");
     if (check) {
         // The same rack must simulate identically — down to the
         // exported registry bytes — at 1 thread and at N.
@@ -166,8 +168,6 @@ main(int argc, char **argv)
             return 1;
     }
 
-    if (adaptive && threads == 0)
-        tool.usageError("--adaptive requires --threads >= 1");
     const auto res = runRack(topo, threads, ops, adaptive);
     std::printf("rack '%s': %u nodes, %u switch ports, %s\n",
                 topo.name.c_str(), topo.nodeCount(), topo.totalPorts(),
