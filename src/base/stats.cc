@@ -6,9 +6,9 @@
 #include "base/stats.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
-#include "base/logging.hh"
 
 namespace enzian {
 
@@ -58,81 +58,92 @@ Accumulator::reset()
     *this = Accumulator();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0)
+std::size_t
+Histogram::index(std::uint64_t v)
 {
-    ENZIAN_ASSERT(buckets > 0 && hi > lo, "bad histogram bounds");
+    if (v < kSubBuckets)
+        return static_cast<std::size_t>(v);
+    const unsigned msb = std::bit_width(v) - 1;
+    const unsigned shift = msb - kSubBits;
+    return ((shift + 1) << kSubBits) +
+           static_cast<std::size_t>((v >> shift) & (kSubBuckets - 1));
+}
+
+std::uint64_t
+Histogram::bucketLow(std::size_t i)
+{
+    if (i < kSubBuckets)
+        return i;
+    const unsigned shift = static_cast<unsigned>(i >> kSubBits) - 1;
+    return (std::uint64_t{kSubBuckets} | (i & (kSubBuckets - 1)))
+           << shift;
+}
+
+std::uint64_t
+Histogram::bucketWidth(std::size_t i)
+{
+    if (i < kSubBuckets)
+        return 1;
+    return std::uint64_t{1} << (static_cast<unsigned>(i >> kSubBits) - 1);
 }
 
 void
-Histogram::sample(double v)
+Histogram::record(std::uint64_t v)
 {
+    const std::size_t i = index(v);
+    ++counts_[i];
+    lo_ = std::min(lo_, i);
+    hi_ = std::max(hi_, i + 1);
     ++count_;
-    if (v < lo_) {
-        ++underflow_;
-    } else if (v >= hi_) {
-        ++overflow_;
-    } else {
-        auto idx = static_cast<std::size_t>((v - lo_) / width_);
-        if (idx >= counts_.size())
-            idx = counts_.size() - 1; // fp edge case at hi_
-        ++counts_[idx];
+    sum_ += static_cast<double>(v);
+    max_ = std::max(max_, v);
+}
+
+std::uint64_t
+Histogram::quantile(double q) const
+{
+    if (count_ == 0)
+        return 0;
+    q = std::clamp(q, 0.0, 1.0);
+    // Nearest rank: the ceil(q*N)-th smallest sample, at least the 1st.
+    std::uint64_t rank = static_cast<std::uint64_t>(
+        std::ceil(q * static_cast<double>(count_)));
+    rank = std::clamp<std::uint64_t>(rank, 1, count_);
+    std::uint64_t seen = 0;
+    for (std::size_t i = lo_; i < hi_; ++i) {
+        seen += counts_[i];
+        if (seen >= rank)
+            return std::min(bucketLow(i) + bucketWidth(i) / 2, max_);
     }
+    return max_; // unreachable: seen reaches count_
 }
 
 void
 Histogram::merge(const Histogram &other)
 {
-    ENZIAN_ASSERT(lo_ == other.lo_ && hi_ == other.hi_ &&
-                      counts_.size() == other.counts_.size(),
-                  "histogram merge with mismatched shape");
-    for (std::size_t i = 0; i < counts_.size(); ++i)
+    if (other.count_ == 0)
+        return;
+    for (std::size_t i = other.lo_; i < other.hi_; ++i)
         counts_[i] += other.counts_[i];
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
+    lo_ = std::min(lo_, other.lo_);
+    hi_ = std::max(hi_, other.hi_);
     count_ += other.count_;
-}
-
-double
-Histogram::quantile(double q) const
-{
-    if (count_ == 0)
-        return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    // Rank of the quantile sample (1-based, nearest rank). Targeting
-    // a rank rather than a fractional count keeps exact cumulative
-    // boundaries inside the bucket that actually holds the sample:
-    // the old fractional form returned the previous bucket's upper
-    // edge there, which on sparse histograms lands arbitrarily far
-    // below the containing bucket.
-    const double target = std::min(
-        std::floor(q * static_cast<double>(count_)) + 1.0,
-        static_cast<double>(count_));
-    double running = static_cast<double>(underflow_);
-    if (running >= target)
-        return lo_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const double next = running + static_cast<double>(counts_[i]);
-        if (next >= target && counts_[i] > 0) {
-            // Interpolate within this bucket only; the clamp pins the
-            // result to [lower edge, upper edge] of the bucket that
-            // contains the target rank.
-            const double frac = std::clamp(
-                (target - running) / static_cast<double>(counts_[i]),
-                0.0, 1.0);
-            return lo_ + (static_cast<double>(i) + frac) * width_;
-        }
-        running = next;
-    }
-    return hi_;
+    sum_ += other.sum_;
+    max_ = std::max(max_, other.max_);
 }
 
 void
 Histogram::reset()
 {
-    std::fill(counts_.begin(), counts_.end(), 0);
-    underflow_ = overflow_ = count_ = 0;
+    if (count_ == 0)
+        return;
+    std::fill(counts_.begin() + static_cast<std::ptrdiff_t>(lo_),
+              counts_.begin() + static_cast<std::ptrdiff_t>(hi_), 0);
+    lo_ = kBuckets;
+    hi_ = 0;
+    count_ = 0;
+    sum_ = 0.0;
+    max_ = 0;
 }
 
 void

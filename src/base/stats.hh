@@ -1,7 +1,7 @@
 /**
  * @file
  * Lightweight statistics collection: scalar counters, gauges,
- * min/max/mean accumulators, and fixed-bucket histograms. Components
+ * min/max/mean accumulators, and log-bucketed histograms. Components
  * expose their counters through a StatGroup so tests, benches, and the
  * global obs::Registry can read, dump, export, and reset them
  * uniformly.
@@ -10,6 +10,7 @@
 #ifndef ENZIAN_BASE_STATS_HH
 #define ENZIAN_BASE_STATS_HH
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <ostream>
@@ -85,45 +86,63 @@ class Accumulator
     double m2_ = 0.0;
 };
 
-/** Linear-bucket histogram over [lo, hi) with under/overflow buckets. */
+/**
+ * Log-bucketed histogram of non-negative integer samples (latencies in
+ * ns or ticks), HDR-style: 2^kSubBits sub-buckets per power of two, so
+ * quantiles carry at most ~3.2% relative error over the full 64-bit
+ * range and nothing is ever clamped. Record is O(1); merge, reset and
+ * quantile touch only the recorded bucket range, which keeps folding
+ * staged per-direction histograms at every epoch barrier cheap.
+ */
 class Histogram
 {
   public:
-    /**
-     * @param lo lower bound of first bucket
-     * @param hi upper bound of last bucket
-     * @param buckets number of equal-width buckets (> 0)
-     */
-    Histogram(double lo, double hi, std::size_t buckets);
+    static constexpr unsigned kSubBits = 5;
+    static constexpr std::size_t kSubBuckets = std::size_t{1}
+                                               << kSubBits;
+    /** Enough for 64 octaves x 32 sub-buckets. */
+    static constexpr std::size_t kBuckets = 2048;
 
-    /** Record one sample. */
-    void sample(double v);
+    /** Bucket index of @p v (total order, monotone in v). */
+    static std::size_t index(std::uint64_t v);
+    /** Smallest value mapping to bucket @p i. */
+    static std::uint64_t bucketLow(std::size_t i);
+    /** Width of bucket @p i. */
+    static std::uint64_t bucketWidth(std::size_t i);
 
-    /**
-     * Add another histogram's buckets into this one. Both histograms
-     * must have identical bounds and bucket counts.
-     */
-    void merge(const Histogram &other);
+    void record(std::uint64_t v);
 
     std::uint64_t count() const { return count_; }
-    std::uint64_t bucketCount(std::size_t i) const { return counts_[i]; }
-    std::size_t buckets() const { return counts_.size(); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
+    /** Sum of recorded values, exact while below 2^53. */
+    double sum() const { return sum_; }
+    /** Exact largest recorded value (not bucket-quantized). */
+    std::uint64_t maxValue() const { return max_; }
+    /** Exact mean of recorded values. */
+    double meanTicks() const
+    {
+        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+    }
 
-    /** Approximate quantile q in [0,1] by linear interpolation. */
-    double quantile(double q) const;
+    /**
+     * Nearest-rank quantile @p q in [0, 1], reported as the midpoint
+     * of the containing bucket (clamped to the exact max). Returns 0
+     * when empty.
+     */
+    std::uint64_t quantile(double q) const;
+
+    /** Fold @p other in, as if its samples were recorded here. */
+    void merge(const Histogram &other);
 
     void reset();
 
   private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
+    std::array<std::uint64_t, kBuckets> counts_{};
+    /** Recorded bucket range [lo_, hi_); empty when count_ == 0. */
+    std::size_t lo_ = kBuckets;
+    std::size_t hi_ = 0;
     std::uint64_t count_ = 0;
+    double sum_ = 0.0;
+    std::uint64_t max_ = 0;
 };
 
 /**

@@ -201,7 +201,7 @@ EciLink::recordTx(std::size_t dir, Tick tnow, const EciMsg &msg,
     s.bytes.inc(msg.wireBytes());
     const double lat_ns = units::toNanos(t.delivery - tnow);
     s.latency.sample(lat_ns);
-    s.hist.sample(lat_ns);
+    s.hist.record((t.delivery - tnow) / units::psPerNs);
     s.serWait.sample(units::toNanos(t.start - t.serReady));
     s.vcLatency[static_cast<std::size_t>(vcOf(msg.op))].sample(lat_ns);
 }

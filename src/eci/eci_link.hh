@@ -217,7 +217,7 @@ class EciLink : public SimObject
         Counter corrupted;
         Accumulator latency;
         Accumulator serWait;
-        Histogram hist{0.0, 4000.0, 80};
+        Histogram hist;
         std::array<Accumulator, vcCount> vcLatency;
 
         /** Move this stage's samples into @p agg and reset it. */

@@ -50,7 +50,7 @@ DramChannel::access(Tick when, std::uint64_t bytes)
     Tick done = start + accessLatency_ + stream;
     const double lat_ns = units::toNanos(done - when);
     latency_.sample(lat_ns);
-    latencyHist_.sample(lat_ns);
+    latencyHist_.record((done - when) / units::psPerNs);
     queueWait_.sample(units::toNanos(start - when));
     ENZIAN_SPAN(name(), "burst", start, done);
     if (eccRng_)

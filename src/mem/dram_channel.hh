@@ -135,7 +135,7 @@ class DramChannel : public SimObject
     Counter eccRetries_;
     Accumulator latency_;
     Accumulator queueWait_;
-    Histogram latencyHist_{0.0, 1000.0, 50};
+    Histogram latencyHist_;
 };
 
 /**

@@ -77,11 +77,9 @@ flatten(const StatGroup &g, Snapshot &snap)
     for (const auto &[n, h] : g.histograms()) {
         const std::string p = base + '.' + n;
         snap[p + ".count"] = static_cast<double>(h->count());
-        snap[p + ".p50"] = h->quantile(0.50);
-        snap[p + ".p90"] = h->quantile(0.90);
-        snap[p + ".p99"] = h->quantile(0.99);
-        snap[p + ".underflow"] = static_cast<double>(h->underflow());
-        snap[p + ".overflow"] = static_cast<double>(h->overflow());
+        snap[p + ".p50"] = static_cast<double>(h->quantile(0.50));
+        snap[p + ".p90"] = static_cast<double>(h->quantile(0.90));
+        snap[p + ".p99"] = static_cast<double>(h->quantile(0.99));
     }
 }
 
@@ -185,13 +183,12 @@ Registry::exportPrometheus(std::ostream &os) const
         for (const auto &[n, h] : g->histograms()) {
             const std::string m = prometheusName(g->name() + '.' + n);
             os << "# TYPE " << m << " summary\n"
-               << m << "{quantile=\"0.5\"} "
-               << json::number(h->quantile(0.5)) << '\n'
-               << m << "{quantile=\"0.9\"} "
-               << json::number(h->quantile(0.9)) << '\n'
-               << m << "{quantile=\"0.99\"} "
-               << json::number(h->quantile(0.99)) << '\n'
-               << m << "_count " << h->count() << '\n';
+               << m << "{quantile=\"0.5\"} " << h->quantile(0.5) << '\n'
+               << m << "{quantile=\"0.9\"} " << h->quantile(0.9) << '\n'
+               << m << "{quantile=\"0.99\"} " << h->quantile(0.99)
+               << '\n'
+               << m << "_count " << h->count() << '\n'
+               << m << "_sum " << json::number(h->sum()) << '\n';
         }
     }
 }

@@ -80,9 +80,12 @@ class Registry
     void exportJson(std::ostream &os) const;
 
     /**
-     * Prometheus text exposition of @p snap: names sanitized to
-     * [a-zA-Z0-9_] with an "enzian_" prefix, one # TYPE line per
-     * metric (counter for monotonic counters, gauge otherwise).
+     * Prometheus text exposition of the current live values: names
+     * sanitized to [a-zA-Z0-9_] with an "enzian_" prefix, one # TYPE
+     * line per metric. Counters are typed counter and gauges gauge;
+     * accumulators and histograms are typed summary and carry
+     * <name>_count and <name>_sum, histograms also the 0.5/0.9/0.99
+     * quantile lines.
      */
     void exportPrometheus(std::ostream &os) const;
 

@@ -1,96 +1,16 @@
 /**
  * @file
- * LogHistogram and SloRecorder implementation.
+ * SloRecorder implementation.
  */
 
 #include "obs/slo.hh"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstdio>
 
 #include "base/logging.hh"
 #include "obs/registry.hh"
 
 namespace enzian::obs {
-
-std::size_t
-LogHistogram::index(Tick v)
-{
-    if (v < kSubBuckets)
-        return static_cast<std::size_t>(v);
-    const unsigned msb = std::bit_width(v) - 1;
-    const unsigned shift = msb - kSubBits;
-    return ((shift + 1) << kSubBits) +
-           static_cast<std::size_t>((v >> shift) & (kSubBuckets - 1));
-}
-
-Tick
-LogHistogram::bucketLow(std::size_t i)
-{
-    if (i < kSubBuckets)
-        return i;
-    const unsigned shift = static_cast<unsigned>(i >> kSubBits) - 1;
-    return (Tick{kSubBuckets} | (i & (kSubBuckets - 1))) << shift;
-}
-
-Tick
-LogHistogram::bucketWidth(std::size_t i)
-{
-    if (i < kSubBuckets)
-        return 1;
-    return Tick{1} << (static_cast<unsigned>(i >> kSubBits) - 1);
-}
-
-void
-LogHistogram::record(Tick v)
-{
-    ++counts_[index(v)];
-    ++count_;
-    sum_ += static_cast<double>(v);
-    max_ = std::max(max_, v);
-}
-
-Tick
-LogHistogram::quantile(double q) const
-{
-    if (count_ == 0)
-        return 0;
-    q = std::clamp(q, 0.0, 1.0);
-    // Nearest rank: the ceil(q*N)-th smallest sample, at least the 1st.
-    std::uint64_t rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(count_)));
-    rank = std::clamp<std::uint64_t>(rank, 1, count_);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-        seen += counts_[i];
-        if (seen >= rank) {
-            const Tick mid = bucketLow(i) + bucketWidth(i) / 2;
-            return std::min(mid, max_);
-        }
-    }
-    return max_; // unreachable: seen reaches count_
-}
-
-void
-LogHistogram::merge(const LogHistogram &other)
-{
-    for (std::size_t i = 0; i < kBuckets; ++i)
-        counts_[i] += other.counts_[i];
-    count_ += other.count_;
-    sum_ += other.sum_;
-    max_ = std::max(max_, other.max_);
-}
-
-void
-LogHistogram::reset()
-{
-    counts_.fill(0);
-    count_ = 0;
-    sum_ = 0.0;
-    max_ = 0;
-}
 
 SloRecorder::SloRecorder(Config cfg)
     : cfg_(std::move(cfg)), sloTicks_(units::us(cfg_.slo_latency_us)),

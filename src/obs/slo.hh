@@ -2,11 +2,10 @@
  * @file
  * Windowed latency recording against service-level objectives.
  *
- * The serving harness measures millions of request latencies per run;
- * a linear-bucket Histogram can't cover 1 us .. 1 s at useful
- * resolution, so LogHistogram stores values HDR-style: 32 sub-buckets
- * per power of two, giving a bounded <= 3.2% relative quantile error
- * over the full Tick range in 2048 fixed counters.
+ * The serving harness measures millions of request latencies per run,
+ * from 1 us to 1 s and beyond; they land in the log-bucketed Histogram
+ * of base/stats.hh, which covers the full Tick range at a bounded
+ * <= 3.2% relative quantile error.
  *
  * SloRecorder aggregates latencies twice: cumulatively for the whole
  * run, and into tumbling sim-time windows aligned to absolute
@@ -30,7 +29,6 @@
 #ifndef ENZIAN_OBS_SLO_HH
 #define ENZIAN_OBS_SLO_HH
 
-#include <array>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -40,56 +38,6 @@
 #include "base/units.hh"
 
 namespace enzian::obs {
-
-/**
- * Log-bucketed histogram of Tick-valued samples: 2^kSubBits
- * sub-buckets per octave, fixed footprint, O(1) record.
- */
-class LogHistogram
-{
-  public:
-    static constexpr unsigned kSubBits = 5;
-    static constexpr std::size_t kSubBuckets = std::size_t{1}
-                                               << kSubBits;
-    /** Enough for 64 octaves x 32 sub-buckets. */
-    static constexpr std::size_t kBuckets = 2048;
-
-    /** Bucket index of @p v (total order, monotone in v). */
-    static std::size_t index(Tick v);
-    /** Smallest value mapping to bucket @p i. */
-    static Tick bucketLow(std::size_t i);
-    /** Width of bucket @p i in ticks. */
-    static Tick bucketWidth(std::size_t i);
-
-    void record(Tick v);
-
-    std::uint64_t count() const { return count_; }
-    /** Exact largest recorded value (not bucket-quantized). */
-    Tick maxValue() const { return max_; }
-    /** Exact mean of recorded values in ticks. */
-    double meanTicks() const
-    {
-        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-    }
-
-    /**
-     * Nearest-rank quantile @p q in [0, 1], reported as the midpoint
-     * of the containing bucket (clamped to the exact max). Returns 0
-     * when empty.
-     */
-    Tick quantile(double q) const;
-
-    /** Fold @p other in, as if its samples were recorded here. */
-    void merge(const LogHistogram &other);
-
-    void reset();
-
-  private:
-    std::array<std::uint64_t, kBuckets> counts_{};
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    Tick max_ = 0;
-};
 
 /**
  * Records per-request latencies against an SLO, cumulatively and in
@@ -192,12 +140,12 @@ class SloRecorder
     Config cfg_;
     Tick sloTicks_;
 
-    LogHistogram total_;
+    Histogram total_;
     std::uint64_t totalViolations_ = 0;
 
     bool windowOpen_ = false;
     Tick windowIdx_ = 0;
-    LogHistogram windowHist_;
+    Histogram windowHist_;
     std::uint64_t windowViolations_ = 0;
     std::vector<Window> windows_;
 

@@ -80,7 +80,7 @@ DomainScheduler::DomainScheduler(std::string name, Tick lookahead,
     stats_.addCounter("adaptive_grows", &adaptiveGrows_);
     stats_.addCounter("adaptive_shrinks", &adaptiveShrinks_);
     stats_.addAccumulator("epoch_imbalance", &imbalance_);
-    stats_.addHistogram("epoch_len", &epochLen_);
+    stats_.addHistogram("epoch_len_ns", &epochLen_);
     obs::Registry::global().add(&stats_);
 }
 
@@ -366,8 +366,7 @@ DomainScheduler::epochEndFor(Tick next, Tick limit, bool bounded)
     else if (lastGrew_)
         adaptiveShrinks_.inc();
     lastGrew_ = grew;
-    epochLen_.sample(static_cast<double>(end - next + 1) /
-                     static_cast<double>(lookahead_));
+    epochLen_.record((end - next + 1) / units::psPerNs);
     return end;
 }
 

@@ -274,8 +274,8 @@ class DomainScheduler
     Counter adaptiveGrows_;
     Counter adaptiveShrinks_;
     Accumulator imbalance_;
-    /** Epoch length in multiples of the fixed step. */
-    Histogram epochLen_{0.0, 64.0, 64};
+    /** Epoch length in ns. */
+    Histogram epochLen_;
 };
 
 } // namespace enzian::sim

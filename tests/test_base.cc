@@ -148,118 +148,165 @@ TEST(Stats, AccumulatorMergeEmptySides)
     EXPECT_DOUBLE_EQ(b.max(), 5.0);
 }
 
-TEST(Stats, HistogramMergeAddsBuckets)
+TEST(Stats, HistogramIndexIsMonotoneAndBucketBoundsContainValues)
 {
-    Histogram a(0.0, 100.0, 10), b(0.0, 100.0, 10);
-    for (int i = 0; i < 50; ++i)
-        a.sample(i + 0.5);
-    for (int i = 50; i < 100; ++i)
-        b.sample(i + 0.5);
-    b.sample(-1.0);
-    b.sample(200.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 102u);
-    for (std::size_t i = 0; i < a.buckets(); ++i)
-        EXPECT_EQ(a.bucketCount(i), 10u);
-    EXPECT_EQ(a.underflow(), 1u);
-    EXPECT_EQ(a.overflow(), 1u);
-}
-
-TEST(Stats, HistogramMergeShapeMismatchDies)
-{
-    Histogram a(0.0, 100.0, 10), b(0.0, 50.0, 10);
-    EXPECT_DEATH(a.merge(b), "mismatched shape");
+    // Exact below one octave's worth of sub-buckets...
+    for (std::uint64_t v = 0; v < Histogram::kSubBuckets; ++v)
+        EXPECT_EQ(Histogram::index(v), static_cast<std::size_t>(v));
+    // ...log-bucketed above, with every value inside its bucket.
+    std::size_t prev = 0;
+    for (std::uint64_t v = 1; v < (std::uint64_t{1} << 40);
+         v = v * 3 + 1) {
+        const std::size_t i = Histogram::index(v);
+        EXPECT_GE(i, prev);
+        prev = i;
+        EXPECT_GE(v, Histogram::bucketLow(i));
+        EXPECT_LT(v, Histogram::bucketLow(i) + Histogram::bucketWidth(i));
+    }
+    EXPECT_LT(Histogram::index(~std::uint64_t{0}), Histogram::kBuckets);
 }
 
 TEST(Stats, HistogramBucketsAndQuantiles)
 {
-    Histogram h(0.0, 100.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.sample(i + 0.5);
-    EXPECT_EQ(h.count(), 100u);
-    for (std::size_t b = 0; b < h.buckets(); ++b)
-        EXPECT_EQ(h.bucketCount(b), 10u);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
+    Histogram h;
+    // Empty: every reading is 0.
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.quantile(0.5), 0u);
+    EXPECT_EQ(h.maxValue(), 0u);
+    EXPECT_EQ(h.meanTicks(), 0.0);
+    // 1..10000 us uniformly: quantile(q) should land within one
+    // sub-bucket (~3.2% relative) of the exact answer.
+    for (int i = 1; i <= 10000; ++i)
+        h.record(units::us(static_cast<double>(i)));
+    EXPECT_EQ(h.count(), 10000u);
+    for (double q : {0.5, 0.9, 0.99, 0.999}) {
+        const double exact = 10000.0 * q;
+        const double got = units::toMicros(h.quantile(q));
+        EXPECT_NEAR(got, exact, exact * 0.04) << "q=" << q;
+    }
+    // Max and sum are exact, not bucket-quantized.
+    EXPECT_EQ(h.maxValue(), units::us(10000.0));
+    EXPECT_EQ(h.quantile(1.0), units::us(10000.0));
+    EXPECT_DOUBLE_EQ(h.sum(), 5000.5 * 10000.0 * units::us(1.0));
+    EXPECT_NEAR(h.meanTicks(), units::us(5000.5), units::us(0.5));
 }
 
-TEST(Stats, HistogramOverUnderflow)
+void
+expectSameHistogram(const Histogram &a, const Histogram &b)
 {
-    Histogram h(0.0, 10.0, 5);
-    h.sample(-1);
-    h.sample(11);
-    h.sample(5);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.count(), 3u);
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.maxValue(), b.maxValue());
+    EXPECT_DOUBLE_EQ(a.sum(), b.sum());
+    for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
+        EXPECT_EQ(a.quantile(q), b.quantile(q)) << "q=" << q;
 }
 
-// Regression: on sparse histograms the old interpolation could
-// return a value below the lower edge of the bucket that actually
-// contains the quantile sample — underflow (or earlier buckets)
-// pushed the running total past the fractional target, e.g. p50 of
-// {5x underflow, 5x bucket-9} came back as lo_. Every quantile must
-// land inside its containing bucket.
+TEST(Stats, HistogramMergeAddsBuckets)
+{
+    Histogram a, b, both;
+    for (int i = 1; i <= 500; ++i) {
+        const Tick v = units::us(static_cast<double>(i * i % 997));
+        ((i % 2) ? a : b).record(v);
+        both.record(v);
+    }
+    a.merge(b);
+    expectSameHistogram(a, both);
+    // Merging an empty histogram, or into one, changes nothing.
+    Histogram empty, copy;
+    a.merge(empty);
+    expectSameHistogram(a, both);
+    copy.merge(a);
+    expectSameHistogram(copy, both);
+    a.reset();
+    EXPECT_EQ(a.count(), 0u);
+    EXPECT_EQ(a.quantile(0.5), 0u);
+}
+
+// merge and reset walk only the recorded bucket range. A stage that is
+// recorded, folded and reset over and over, each round at a different
+// range, must leave no stale counts behind and lose none.
+TEST(Stats, HistogramMergeAndResetTrackTouchedRange)
+{
+    Histogram stage, agg, ref;
+    const std::uint64_t bases[] = {5, 1u << 30, 300, 1ull << 50, 40, 7};
+    for (const std::uint64_t base : bases) {
+        for (std::uint64_t k = 0; k < 3; ++k) {
+            stage.record(base + k * (base / 2 + 1));
+            ref.record(base + k * (base / 2 + 1));
+        }
+        agg.merge(stage);
+        stage.reset();
+        EXPECT_EQ(stage.count(), 0u);
+        EXPECT_EQ(stage.quantile(1.0), 0u);
+        expectSameHistogram(agg, ref);
+    }
+}
+
+// Regression (from the old linear type): on sparse histograms a
+// quantile could come back below the lower edge of the bucket that
+// actually holds its sample. Every quantile must land inside its
+// containing bucket.
 TEST(Stats, HistogramSparseQuantileStaysInContainingBucket)
 {
-    Histogram h(0.0, 100.0, 10);
+    Histogram h;
+    const std::uint64_t hi = 95000;
+    const std::size_t b = Histogram::index(hi);
+    const std::uint64_t lo = Histogram::bucketLow(b);
+    const std::uint64_t top = lo + Histogram::bucketWidth(b);
     for (int i = 0; i < 5; ++i)
-        h.sample(-1.0); // underflow
+        h.record(3);
     for (int i = 0; i < 5; ++i)
-        h.sample(95.0); // bucket 9: [90, 100)
-    // Ranks 6..10 are the bucket-9 samples; p50 (rank 6) onward must
-    // report within [90, 100], not lo_.
-    EXPECT_GE(h.quantile(0.5), 90.0);
-    EXPECT_LE(h.quantile(0.5), 100.0);
-    EXPECT_GE(h.quantile(0.9), 90.0);
-    EXPECT_LE(h.quantile(0.9), 100.0);
-    EXPECT_GE(h.quantile(0.99), 90.0);
-    EXPECT_LE(h.quantile(0.99), 100.0);
-    // p25 (rank 3) is an underflow sample: pinned to the low edge.
-    EXPECT_DOUBLE_EQ(h.quantile(0.25), 0.0);
+        h.record(hi);
+    // Ranks 6..10 are the high samples.
+    for (double q : {0.6, 0.9, 0.99}) {
+        EXPECT_GE(h.quantile(q), lo) << "q=" << q;
+        EXPECT_LT(h.quantile(q), top) << "q=" << q;
+    }
+    // p25 (rank 3) is a low sample, exact below 32.
+    EXPECT_EQ(h.quantile(0.25), 3u);
 }
 
 TEST(Stats, HistogramSparseQuantileEmptyBucketGap)
 {
-    // Two samples with eight empty buckets between them. The median
-    // sample (nearest rank 2 of 2) lives in bucket 9; the old code
-    // reported bucket 0's upper edge instead.
-    Histogram h(0.0, 100.0, 10);
-    h.sample(5.0);
-    h.sample(95.0);
-    EXPECT_GE(h.quantile(0.5), 90.0);
-    EXPECT_LE(h.quantile(0.5), 100.0);
-    EXPECT_GE(h.quantile(0.99), 90.0);
-    // p10 (rank 1) is the bucket-0 sample.
-    EXPECT_GE(h.quantile(0.1), 0.0);
-    EXPECT_LE(h.quantile(0.1), 10.0);
+    // Two samples with hundreds of empty buckets between them. The
+    // top sample (nearest rank 2 of 2) must be reported from its own
+    // bucket, not from the low sample's edge.
+    Histogram h;
+    h.record(5);
+    h.record(95000);
+    EXPECT_EQ(h.quantile(0.5), 5u);
+    EXPECT_GE(h.quantile(0.99),
+              Histogram::bucketLow(Histogram::index(95000)));
+    EXPECT_LE(h.quantile(0.99), 95000u);
+    EXPECT_EQ(h.quantile(0.1), 5u);
 }
 
 TEST(Stats, HistogramSingleSampleQuantiles)
 {
-    Histogram h(0.0, 100.0, 10);
-    h.sample(95.0);
+    Histogram h;
+    h.record(95000);
+    const std::size_t i = Histogram::index(95000);
     for (double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
-        EXPECT_GE(h.quantile(q), 90.0) << "q=" << q;
-        EXPECT_LE(h.quantile(q), 100.0) << "q=" << q;
+        EXPECT_GE(h.quantile(q), Histogram::bucketLow(i)) << "q=" << q;
+        EXPECT_LE(h.quantile(q), 95000u) << "q=" << q;
     }
 }
 
-TEST(Stats, HistogramQuantileMonotoneAndOverflowPinned)
+TEST(Stats, HistogramQuantileMonotoneAndMaxPinned)
 {
-    Histogram h(0.0, 100.0, 10);
+    Histogram h;
     for (int i = 0; i < 10; ++i)
-        h.sample(15.0);
-    h.sample(95.0);
-    h.sample(1000.0); // overflow
-    double prev = h.quantile(0.0);
+        h.record(15000);
+    h.record(95000);
+    h.record(1000000000000ull); // far above the rest: never clamped
+    std::uint64_t prev = h.quantile(0.0);
     for (double q = 0.05; q <= 1.0; q += 0.05) {
-        const double cur = h.quantile(q);
+        const std::uint64_t cur = h.quantile(q);
         EXPECT_GE(cur, prev) << "quantile not monotone at q=" << q;
         prev = cur;
     }
-    // The overflow sample is the max rank: reported as hi_.
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 100.0);
+    // The top rank is reported as the exact max.
+    EXPECT_EQ(h.quantile(1.0), 1000000000000ull);
 }
 
 TEST(Stats, StatGroupDump)

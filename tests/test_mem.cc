@@ -9,6 +9,7 @@
 #include "mem/backing_store.hh"
 #include "mem/dram_channel.hh"
 #include "mem/memory_controller.hh"
+#include "obs/registry.hh"
 
 namespace enzian::mem {
 namespace {
@@ -136,6 +137,20 @@ TEST(DramChannel, BackToBackQueues)
     EXPECT_NEAR(static_cast<double>(second - units::ns(40)),
                 2.0 * static_cast<double>(first - units::ns(40)),
                 static_cast<double>(first) * 0.01);
+}
+
+// The latency histogram never clamps: a 1 MiB burst (tens of us) is
+// reported within one log bucket (~3.2%) of its latency, not pinned
+// to a fixed top bound.
+TEST(DramChannel, LatencyHistogramDoesNotClamp)
+{
+    EventQueue eq;
+    DramChannel ch("noclamp", eq, DramChannel::Config{});
+    const double lat_ns = units::toNanos(ch.access(0, 1 << 20));
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    const double p99 = snap.at("noclamp.latency_hist_ns.p99");
+    EXPECT_GT(p99, 1000.0);
+    EXPECT_NEAR(p99, lat_ns, lat_ns * 0.032);
 }
 
 TEST(DramSystem, StripesLargeAccesses)

@@ -115,7 +115,7 @@ TEST(Registry, SnapshotFlattensEveryStatKind)
     Counter c;
     Gauge g;
     Accumulator a;
-    Histogram h(0.0, 100.0, 10);
+    Histogram h;
     StatGroup grp("comp");
     grp.addCounter("ops", &c);
     grp.addGauge("level", &g);
@@ -126,7 +126,7 @@ TEST(Registry, SnapshotFlattensEveryStatKind)
     g.set(-2.5);
     a.sample(10.0);
     a.sample(30.0);
-    h.sample(55.0);
+    h.record(55);
 
     Snapshot s = reg.snapshot();
     EXPECT_DOUBLE_EQ(s["comp.ops"], 7.0);
@@ -136,7 +136,11 @@ TEST(Registry, SnapshotFlattensEveryStatKind)
     EXPECT_DOUBLE_EQ(s["comp.lat.min"], 10.0);
     EXPECT_DOUBLE_EQ(s["comp.lat.max"], 30.0);
     EXPECT_DOUBLE_EQ(s["comp.dist.count"], 1.0);
-    EXPECT_NEAR(s["comp.dist.p50"], 55.0, 10.0);
+    EXPECT_DOUBLE_EQ(s["comp.dist.p50"], 55.0);
+    EXPECT_DOUBLE_EQ(s["comp.dist.p99"], 55.0);
+    // Nothing clamps, so there are no under/overflow keys.
+    EXPECT_FALSE(s.count("comp.dist.underflow"));
+    EXPECT_FALSE(s.count("comp.dist.overflow"));
 }
 
 TEST(Registry, DiffKeepsNewKeysAndDropsGoneOnes)
@@ -215,22 +219,41 @@ TEST(Registry, PrometheusNameSanitizesAndExportHasTypes)
     Registry reg;
     Counter c;
     Gauge g;
+    Accumulator a;
+    Histogram h;
     StatGroup grp("node.link");
     grp.addCounter("messages", &c);
     grp.addGauge("depth", &g);
+    grp.addAccumulator("wait_ns", &a);
+    grp.addHistogram("lat_ns", &h);
     reg.add(&grp);
     c.inc(5);
     g.set(2.0);
+    a.sample(1.5);
+    a.sample(2.5);
+    h.record(10);
+    h.record(20);
+    h.record(30);
 
     std::ostringstream os;
     reg.exportPrometheus(os);
     const std::string text = os.str();
-    EXPECT_NE(text.find("# TYPE enzian_node_link_messages counter"),
-              std::string::npos);
-    EXPECT_NE(text.find("enzian_node_link_messages 5"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE enzian_node_link_depth gauge"),
-              std::string::npos);
+    const auto has = [&text](const std::string &line) {
+        return text.find(line + '\n') != std::string::npos;
+    };
+    EXPECT_TRUE(has("# TYPE enzian_node_link_messages counter"));
+    EXPECT_TRUE(has("enzian_node_link_messages 5"));
+    EXPECT_TRUE(has("# TYPE enzian_node_link_depth gauge"));
+    // Summaries carry _count and _sum, histograms also quantiles.
+    EXPECT_TRUE(has("# TYPE enzian_node_link_wait_ns summary"));
+    EXPECT_TRUE(has("enzian_node_link_wait_ns_count 2"));
+    EXPECT_TRUE(has("enzian_node_link_wait_ns_sum 4"));
+    EXPECT_TRUE(has("# TYPE enzian_node_link_lat_ns summary"));
+    EXPECT_TRUE(has("enzian_node_link_lat_ns{quantile=\"0.5\"} 20"));
+    EXPECT_TRUE(has("enzian_node_link_lat_ns{quantile=\"0.9\"} 30"));
+    EXPECT_TRUE(has("enzian_node_link_lat_ns{quantile=\"0.99\"} 30"));
+    EXPECT_TRUE(has("enzian_node_link_lat_ns_count 3"));
+    EXPECT_TRUE(has("enzian_node_link_lat_ns_sum 60"));
 }
 
 // ------------------------------------------------------------- Sampler
@@ -503,30 +526,13 @@ TEST(ObsDemo, SamplerProducesTimeSeriesOverTheScenario)
     EXPECT_GT(last.at(m.config().name + ".eci.link0.messages"), 0.0);
 }
 
-// ------------------------------------------------------- LogHistogram
-
-TEST(LogHistogram, IndexIsMonotoneAndBucketBoundsContainValues)
-{
-    // Exact below one octave's worth of sub-buckets...
-    for (Tick v = 0; v < LogHistogram::kSubBuckets; ++v)
-        EXPECT_EQ(LogHistogram::index(v), static_cast<std::size_t>(v));
-    // ...log-bucketed above, with every value inside its bucket.
-    std::size_t prev = 0;
-    for (Tick v = 1; v < (Tick{1} << 40); v = v * 3 + 1) {
-        const std::size_t i = LogHistogram::index(v);
-        EXPECT_GE(i, prev);
-        prev = i;
-        EXPECT_GE(v, LogHistogram::bucketLow(i));
-        EXPECT_LT(v,
-                  LogHistogram::bucketLow(i) +
-                      LogHistogram::bucketWidth(i));
-    }
-    EXPECT_LT(LogHistogram::index(~Tick{0}), LogHistogram::kBuckets);
-}
+// ---------------------------------------------------------- Histogram
+// The latency histogram the SLO recorder and the registry export share
+// (enzian::Histogram in base/stats).
 
 TEST(LogHistogram, QuantileErrorIsBoundedByBucketWidth)
 {
-    LogHistogram h;
+    Histogram h;
     // 1..10000 us uniformly: quantile(q) should land within one
     // sub-bucket (~3.2% relative) of the exact answer.
     for (int i = 1; i <= 10000; ++i)
@@ -544,7 +550,7 @@ TEST(LogHistogram, QuantileErrorIsBoundedByBucketWidth)
 
 TEST(LogHistogram, MergeMatchesCombinedRecording)
 {
-    LogHistogram a, b, both;
+    Histogram a, b, both;
     for (int i = 1; i <= 500; ++i) {
         const Tick v = units::us(static_cast<double>(i * i % 997));
         ((i % 2) ? a : b).record(v);

@@ -291,7 +291,7 @@ TEST(AdaptiveMachine, RegistryByteIdenticalAcrossThreadCounts)
     EXPECT_TRUE(r1.sameSimulation(r4));
     EXPECT_TRUE(r1.sameSimulation(r8));
     // The whole observable state of the machine, byte for byte —
-    // including the scheduler's own epoch_len / adaptive_* stats.
+    // including the scheduler's own epoch_len_ns / adaptive_* stats.
     EXPECT_FALSE(r1.registryJson.empty());
     EXPECT_EQ(r1.registryJson, r2.registryJson);
     EXPECT_EQ(r1.registryJson, r4.registryJson);
