@@ -12,6 +12,10 @@
  * time may differ. Emits BENCH_parallel_scaling.json with events/sec
  * per thread count and the t2/t4 speedups the CI floor guards.
  *
+ * A second section A/B-tests no-sends-before promises on a
+ * quiescent-heavy ring: with promises the scheduler stretches epochs
+ * over the quiet spans, without them every epoch is one lookahead.
+ *
  * Note: speedups here reflect the host the bench runs on; on a
  * single-core container every thread count measures ~1x.
  */
@@ -126,7 +130,7 @@ runAt(std::uint32_t threads)
     return r;
 }
 
-// --- adaptive vs fixed epochs on a quiescent-heavy rack ------------
+// --- with vs without promises on a quiescent-heavy ring ------------
 
 constexpr Tick kQLookahead = 100;
 constexpr int kQDomains = 4;
@@ -145,21 +149,20 @@ struct QuiescentResult
 
 /**
  * A ring of domains running continuous cycle-driven local work
- * (polling events every few ticks, under a no-sends promise) with one
- * cross-domain send per period — the workload shape where fixed
- * lockstep epochs pay a barrier every lookahead for nothing. The
- * simulation is identical in both modes; only the epoch schedule (and
- * with it the barrier count) may differ.
+ * (polling events every few ticks) with one cross-domain send per
+ * period — the workload shape where lockstep epochs pay a barrier
+ * every lookahead for nothing. With @p promises each period opens
+ * with a no-sends promise up to its send; without, the same event
+ * runs and promises nothing. The simulation is identical in both
+ * arms; only the epoch schedule (and with it the barrier count) may
+ * differ.
  */
 QuiescentResult
-runQuiescent(bool adaptive, std::uint32_t threads)
+runQuiescent(bool promises, std::uint32_t threads)
 {
-    sim::DomainScheduler::Options opts;
-    opts.adaptive = adaptive;
-    opts.max_grow = 64;
     sim::DomainScheduler sched(format("quiesce_%s_t%u",
-                                      adaptive ? "a" : "f", threads),
-                               kQLookahead, threads, opts);
+                                      promises ? "p" : "n", threads),
+                               kQLookahead, threads);
     std::vector<sim::TimingDomain *> doms;
     std::vector<sim::CrossDomainChannel *> chans;
     for (int d = 0; d < kQDomains; ++d)
@@ -175,8 +178,9 @@ runQuiescent(bool adaptive, std::uint32_t threads)
         for (int r = 0; r < kQRounds; ++r) {
             const Tick base = static_cast<Tick>(r) * kQPeriod;
             const Tick send_at = base + kQPeriod - 2 * kQLookahead;
-            q.schedule(base, [&, d, send_at]() {
-                doms[d]->promiseNoSendsBefore(send_at);
+            q.schedule(base, [&, d, send_at, promises]() {
+                if (promises)
+                    doms[d]->promiseNoSendsBefore(send_at);
             });
             for (Tick t = kQStep; base + t < send_at; t += kQStep)
                 q.schedule(base + t, []() {});
@@ -252,55 +256,57 @@ main()
                 static_cast<unsigned long long>(res[0].events),
                 static_cast<unsigned long long>(res[0].simEnd));
 
-    // Adaptive-vs-fixed A/B on the quiescent-heavy ring. At 1 thread
-    // the gain isolates coordinator barrier work; at 4 threads it
-    // includes the epoch handshake the grown epochs eliminate.
-    header("Adaptive epochs: quiescent-heavy A/B");
-    std::printf("%8s %10s %12s %12s %10s\n", "threads", "mode",
+    // Promise A/B on the quiescent-heavy ring. At 1 thread the gain
+    // isolates coordinator barrier work; at 4 threads it includes the
+    // epoch handshake the grown epochs eliminate. The metric keys keep
+    // their names: "fixed" is the no-promise arm (every epoch one
+    // lookahead), "adaptive" the arm with promises.
+    header("Epoch growth: quiescent-heavy promise A/B");
+    std::printf("%8s %12s %12s %12s %10s\n", "threads", "promises",
                 "epochs", "wall_ms", "grows");
     QuiescentResult base1;
     for (const std::uint32_t t : {1u, 4u}) {
-        const QuiescentResult fixed = runQuiescent(false, t);
-        const QuiescentResult adaptive = runQuiescent(true, t);
-        if (fixed.deliveries != adaptive.deliveries ||
-            fixed.events != adaptive.events ||
-            (t > 1 && fixed.deliveries != base1.deliveries)) {
-            fatal("adaptive A/B diverged at %u threads: %llu events "
+        const QuiescentResult plain = runQuiescent(false, t);
+        const QuiescentResult promised = runQuiescent(true, t);
+        if (plain.deliveries != promised.deliveries ||
+            plain.events != promised.events ||
+            (t > 1 && plain.deliveries != base1.deliveries)) {
+            fatal("promise A/B diverged at %u threads: %llu events "
                   "/ %zu deliveries vs %llu / %zu",
-                  t, static_cast<unsigned long long>(fixed.events),
-                  fixed.deliveries.size(),
-                  static_cast<unsigned long long>(adaptive.events),
-                  adaptive.deliveries.size());
+                  t, static_cast<unsigned long long>(plain.events),
+                  plain.deliveries.size(),
+                  static_cast<unsigned long long>(promised.events),
+                  promised.deliveries.size());
         }
-        if (adaptive.grows == 0)
-            fatal("adaptive A/B: no epoch ever grew");
+        if (promised.grows == 0)
+            fatal("promise A/B: no epoch ever grew");
         if (t == 1)
-            base1 = fixed;
-        const double gain = fixed.wallMs / adaptive.wallMs;
-        std::printf("%8u %10s %12llu %12.1f %10s\n", t, "fixed",
-                    static_cast<unsigned long long>(fixed.epochs),
-                    fixed.wallMs, "-");
-        std::printf("%8u %10s %12llu %12.1f %10llu\n", t, "adaptive",
-                    static_cast<unsigned long long>(adaptive.epochs),
-                    adaptive.wallMs,
-                    static_cast<unsigned long long>(adaptive.grows));
-        std::printf("adaptive gain at %u threads: %.2fx wall, %.1fx "
+            base1 = plain;
+        const double gain = plain.wallMs / promised.wallMs;
+        std::printf("%8u %12s %12llu %12.1f %10llu\n", t, "without",
+                    static_cast<unsigned long long>(plain.epochs),
+                    plain.wallMs,
+                    static_cast<unsigned long long>(plain.grows));
+        std::printf("%8u %12s %12llu %12.1f %10llu\n", t, "with",
+                    static_cast<unsigned long long>(promised.epochs),
+                    promised.wallMs,
+                    static_cast<unsigned long long>(promised.grows));
+        std::printf("promise gain at %u threads: %.2fx wall, %.1fx "
                     "fewer epochs (identical %llu-event simulation)\n",
                     t, gain,
-                    static_cast<double>(fixed.epochs) /
-                        adaptive.epochs,
-                    static_cast<unsigned long long>(fixed.events));
+                    static_cast<double>(plain.epochs) / promised.epochs,
+                    static_cast<unsigned long long>(plain.events));
         rep.add(format("epochs_fixed_t%u", t),
-                static_cast<double>(fixed.epochs));
+                static_cast<double>(plain.epochs));
         rep.add(format("epochs_adaptive_t%u", t),
-                static_cast<double>(adaptive.epochs));
-        rep.add(format("wall_ms_fixed_t%u", t), fixed.wallMs);
-        rep.add(format("wall_ms_adaptive_t%u", t), adaptive.wallMs);
+                static_cast<double>(promised.epochs));
+        rep.add(format("wall_ms_fixed_t%u", t), plain.wallMs);
+        rep.add(format("wall_ms_adaptive_t%u", t), promised.wallMs);
         rep.add(format("adaptive_gain_t%u", t), gain);
         // Deterministic (host-independent) floor anchor: how many
-        // barriers the adaptive policy provably eliminates.
+        // barriers the promises provably eliminate.
         rep.add(format("epoch_reduction_t%u", t),
-                static_cast<double>(fixed.epochs) / adaptive.epochs);
+                static_cast<double>(plain.epochs) / promised.epochs);
     }
     return 0;
 }

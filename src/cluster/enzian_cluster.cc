@@ -59,10 +59,8 @@ EnzianCluster::EnzianCluster(const Config &cfg)
 
     if (cfg_.threads > 0) {
         const Tick lookahead = deriveLookahead(cfg_, topo_);
-        sim::DomainScheduler::Options opts;
-        opts.adaptive = cfg_.adaptive_epochs;
         sched_ = std::make_unique<sim::DomainScheduler>(
-            topo_.name + ".sched", lookahead, cfg_.threads, opts);
+            topo_.name + ".sched", lookahead, cfg_.threads);
         // Domain 0 is the switch fabric; machines add cpu/fpga pairs.
         netDomain_ = &sched_->addDomain(topo_.name + ".net");
     }

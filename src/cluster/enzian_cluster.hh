@@ -63,13 +63,6 @@ class EnzianCluster
          * semantics, sequential). 0 (default) = legacy shared queue.
          */
         std::uint32_t threads = 0;
-        /**
-         * Adaptive epochs for the rack scheduler: grow past the fixed
-         * step to the provable cross-domain delivery bound when the
-         * rack is quiescent (see sim::DomainScheduler::Options).
-         * Bit-identical results at any thread count either way.
-         */
-        bool adaptive_epochs = false;
 
         Config();
     };

@@ -63,7 +63,7 @@ EciLink::bindDomains(sim::DomainScheduler &sched,
     stage_.arm();
     // The channel pair carries this link's own latency floor, not the
     // scheduler's global minimum: per-pair lookahead is what lets the
-    // adaptive scheduler stretch epochs on slower paths.
+    // scheduler stretch epochs on slower paths.
     static_assert(static_cast<std::size_t>(mem::NodeId::Cpu) == 0 &&
                       static_cast<std::size_t>(mem::NodeId::Fpga) == 1,
                   "direction indexing assumes Cpu=0 / Fpga=1");

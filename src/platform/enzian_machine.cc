@@ -40,10 +40,8 @@ EnzianMachine::EnzianMachine(const Config &cfg) : cfg_(cfg)
                       static_cast<unsigned long long>(lookahead));
             }
         } else {
-            sim::DomainScheduler::Options opts;
-            opts.adaptive = cfg_.adaptive_epochs;
             sched_ = std::make_unique<sim::DomainScheduler>(
-                cfg_.name + ".sched", lookahead, cfg_.threads, opts);
+                cfg_.name + ".sched", lookahead, cfg_.threads);
             schedPtr_ = sched_.get();
         }
         cpuDomain_ = &schedPtr_->addDomain(cfg_.name + ".cpu");

@@ -93,13 +93,6 @@ class EnzianMachine
          * `threads`.
          */
         sim::DomainScheduler *shared_scheduler = nullptr;
-        /**
-         * Owned-scheduler epoch policy: grow epochs to the provable
-         * cross-domain delivery bound when channels are quiescent
-         * (see sim::DomainScheduler::Options). Ignored with
-         * shared_scheduler — the scheduler's owner decides there.
-         */
-        bool adaptive_epochs = false;
         /** Instance name prefix (must be unique in a cluster). */
         std::string name = "enzian";
 

@@ -59,8 +59,10 @@ class ChannelLaneBase
   private:
     friend class CrossDomainChannel;
 
-    /** Schedule slot @p idx into the destination at @p when. */
-    virtual void forward(Tick when, std::uint32_t idx) = 0;
+    /** Schedule slot @p idx into the destination at @p when, with
+     *  the channel's same-tick ordering @p key. */
+    virtual void forward(Tick when, std::uint64_t key,
+                         std::uint32_t idx) = 0;
     /** Return slots retired by the destination to the free list. */
     virtual void recycle() = 0;
 };
@@ -117,11 +119,11 @@ class ChannelLane final : public ChannelLaneBase
     static constexpr std::uint32_t kMaxChunks = 1024;
 
     void
-    forward(Tick when, std::uint32_t idx) override
+    forward(Tick when, std::uint64_t key, std::uint32_t idx) override
     {
         // Two-word capture: always inline in EventFn, no allocation.
-        chan_->dstQueue().schedule(when,
-                                   [this, idx] { deliver(idx); });
+        chan_->dstQueue().scheduleKeyed(when, key,
+                                        [this, idx] { deliver(idx); });
     }
 
     void

@@ -22,7 +22,7 @@ CrossDomainChannel::checkPush(Tick when) const
                   static_cast<unsigned long long>(when),
                   static_cast<unsigned long long>(srcq_.now()),
                   static_cast<unsigned long long>(lookahead_));
-    // The adaptive-epoch invariant: if the source domain promised it
+    // The epoch-growth invariant: if the source domain promised it
     // would stay send-quiescent until some tick, the scheduler may
     // have stretched the current epoch on the strength of that
     // promise, so sending earlier is unconditionally a bug.
@@ -68,12 +68,21 @@ CrossDomainChannel::drain()
     for (ChannelLaneBase *lane : lanes_)
         lane->recycle();
 
+    // Each delivery's same-tick key is (source id, running push
+    // index): a property of the sender's timeline alone, so the
+    // destination's tie order never depends on which barrier carried
+    // the message (see EventQueue::scheduleKeyed).
     const auto n = static_cast<std::uint64_t>(entries_.size());
+    ENZIAN_ASSERT(forwarded_ + n <= kIndexMask,
+                  "channel %u->%u exhausted its delivery keys", srcId_,
+                  dstId_);
+    std::uint64_t key =
+        (static_cast<std::uint64_t>(srcId_) << kIndexBits) | forwarded_;
     for (const Entry &e : entries_) {
         if (e.lane == kGenericLane)
-            dstq_.schedule(e.when, std::move(fns_[e.idx]));
+            dstq_.scheduleKeyed(e.when, key++, std::move(fns_[e.idx]));
         else
-            lanes_[e.lane]->forward(e.when, e.idx);
+            lanes_[e.lane]->forward(e.when, key++, e.idx);
     }
     entries_.clear();
     fns_.clear();

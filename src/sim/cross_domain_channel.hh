@@ -18,18 +18,24 @@
  * queue; lane entries produce a two-word inline closure, so the hot
  * message types cross domains with zero per-message allocation.
  *
+ * Every record is scheduled with the key (source domain id, running
+ * push index). At a tick it shares with local events, a delivery
+ * therefore runs first, and deliveries from different sources run in
+ * source-id order — whichever epoch barrier inserted them.
+ *
  * Conservative-lookahead contract: every push must carry a delivery
  * timestamp at least `lookahead()` ticks after the source domain's
  * current time. The lookahead is per-channel — derived from the
  * slowest-possible reaction time of the specific link the channel
  * models (ECI engine+wire floor, Ethernet cable latency) — and never
- * below the scheduler's base lookahead, which is the fixed epoch
- * step, so a message pushed during an epoch always delivers after
- * that epoch's end. When the source domain has published a
+ * below the scheduler's base lookahead. The scheduler ends every
+ * epoch before the earliest tick a push could deliver at, so a
+ * message pushed during an epoch always delivers after that epoch's
+ * end. When the source domain has published a
  * no-sends-before promise (see TimingDomain::promiseNoSendsBefore),
  * pushes before the promised tick are a contract violation and fail
- * fast: the adaptive scheduler may already have stretched an epoch
- * past the point where such a message could deliver safely.
+ * fast: the scheduler may already have stretched an epoch past the
+ * point where such a message could deliver safely.
  */
 
 #ifndef ENZIAN_SIM_CROSS_DOMAIN_CHANNEL_HH
@@ -119,6 +125,10 @@ class CrossDomainChannel
     };
 
     static constexpr std::uint32_t kGenericLane = ~std::uint32_t{0};
+    /** Delivery key = (source id << kIndexBits) | push index. */
+    static constexpr unsigned kIndexBits = 44;
+    static constexpr std::uint64_t kIndexMask =
+        (std::uint64_t{1} << kIndexBits) - 1;
 
     EventQueue &srcq_;
     EventQueue &dstq_;

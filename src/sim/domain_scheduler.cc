@@ -67,14 +67,12 @@ saturatingAdd(Tick a, Tick b)
 } // namespace
 
 DomainScheduler::DomainScheduler(std::string name, Tick lookahead,
-                                 std::uint32_t threads, Options opts)
+                                 std::uint32_t threads)
     : stats_(std::move(name)), lookahead_(lookahead),
-      threads_(threads == 0 ? 1 : threads), opts_(opts)
+      threads_(threads == 0 ? 1 : threads)
 {
     ENZIAN_ASSERT(lookahead_ > 0,
                   "domain scheduler needs a positive lookahead");
-    ENZIAN_ASSERT(opts_.max_grow > 0,
-                  "adaptive epoch growth cap must be positive");
     stats_.addCounter("epochs", &epochs_);
     stats_.addCounter("cross_msgs", &crossMsgs_);
     stats_.addCounter("adaptive_grows", &adaptiveGrows_);
@@ -82,12 +80,6 @@ DomainScheduler::DomainScheduler(std::string name, Tick lookahead,
     stats_.addAccumulator("epoch_imbalance", &imbalance_);
     stats_.addHistogram("epoch_len_ns", &epochLen_);
     obs::Registry::global().add(&stats_);
-}
-
-DomainScheduler::DomainScheduler(std::string name, Tick lookahead,
-                                 std::uint32_t threads)
-    : DomainScheduler(std::move(name), lookahead, threads, Options())
-{
 }
 
 DomainScheduler::~DomainScheduler()
@@ -175,19 +167,6 @@ DomainScheduler::startWorkers()
         src.outLookahead_ =
             std::min(src.outLookahead_, ch->lookahead_);
     }
-    // Rebuild the drain order: (destination id, source id) regardless
-    // of channel creation order, so the barrier merge is a property
-    // of the domain graph alone.
-    drainOrder_.clear();
-    for (auto &ch : channels_)
-        drainOrder_.push_back(ch.get());
-    std::sort(drainOrder_.begin(), drainOrder_.end(),
-              [](const CrossDomainChannel *a,
-                 const CrossDomainChannel *b) {
-                  if (a->dstDomainId() != b->dstDomainId())
-                      return a->dstDomainId() < b->dstDomainId();
-                  return a->srcDomainId() < b->srcDomainId();
-              });
     // Never more participants than domains; the coordinator is one.
     const auto cap = static_cast<std::uint32_t>(
         std::max<std::size_t>(domains_.size(), 1));
@@ -290,7 +269,7 @@ DomainScheduler::barrier()
 {
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t crossed = 0;
-    for (CrossDomainChannel *ch : drainOrder_)
+    for (auto &ch : channels_)
         crossed += ch->drain();
     crossMsgs_.inc(crossed);
     for (auto &task : barrierTasks_)
@@ -324,43 +303,31 @@ DomainScheduler::barrier()
 Tick
 DomainScheduler::epochEndFor(Tick next, Tick limit, bool bounded)
 {
-    // Closed fixed epoch [next, next + step - 1]: any cross-domain
-    // message sent inside it delivers at >= send + step > epoch end.
-    Tick end = saturatingAdd(next, lookahead_ - 1);
+    // LBTS: the earliest tick any cross-domain message could still
+    // deliver at. A domain contributes only if it has both pending
+    // events (events are the only source of pushes) and outbound
+    // channels; its first possible push is at max(next event,
+    // no-sends-before promise). Every term is >= next + lookahead_,
+    // so the epoch never ends before the base step's last tick.
+    Tick bound = EventQueue::kNoEventTick;
+    for (auto &d : domains_) {
+        if (d->outLookahead_ == EventQueue::kNoEventTick)
+            continue;
+        const Tick n = d->eq_.nextEventTick();
+        if (n == EventQueue::kNoEventTick)
+            continue;
+        const Tick first = std::max(n, d->promise_);
+        bound = std::min(bound, saturatingAdd(first, d->outLookahead_));
+    }
+    Tick end = lookahead_ > EventQueue::kNoEventTick / kMaxGrow
+                   ? EventQueue::kNoEventTick - 1
+                   : saturatingAdd(next, kMaxGrow * lookahead_ - 1);
+    if (bound != EventQueue::kNoEventTick)
+        end = std::min(end, bound - 1);
     if (bounded && end > limit)
         end = limit;
 
-    bool grew = false;
-    if (opts_.adaptive) {
-        // LBTS: the earliest tick any cross-domain message could
-        // still deliver at. A domain contributes only if it has both
-        // pending events (events are the only source of pushes) and
-        // outbound channels; its first possible push is at
-        // max(next event, no-sends-before promise).
-        Tick bound = EventQueue::kNoEventTick;
-        for (auto &d : domains_) {
-            if (d->outLookahead_ == EventQueue::kNoEventTick)
-                continue;
-            const Tick n = d->eq_.nextEventTick();
-            if (n == EventQueue::kNoEventTick)
-                continue;
-            const Tick first = std::max(n, d->promise_);
-            bound =
-                std::min(bound, saturatingAdd(first, d->outLookahead_));
-        }
-        const Tick span = static_cast<Tick>(opts_.max_grow) * lookahead_;
-        const bool spanOverflow = span / lookahead_ != opts_.max_grow;
-        Tick grown = spanOverflow ? EventQueue::kNoEventTick - 1
-                                  : saturatingAdd(next, span - 1);
-        if (bound != EventQueue::kNoEventTick)
-            grown = std::min(grown, bound - 1);
-        if (bounded && grown > limit)
-            grown = limit;
-        if (grown > end) {
-            end = grown;
-            grew = true;
-        }
-    }
+    const bool grew = end > saturatingAdd(next, lookahead_ - 1);
     if (grew)
         adaptiveGrows_.inc();
     else if (lastGrew_)
@@ -382,7 +349,7 @@ DomainScheduler::runLoop(Tick limit, bool bounded)
     // Inside the loop every barrier leaves the channels empty.
     {
         std::uint64_t crossed = 0;
-        for (CrossDomainChannel *ch : drainOrder_)
+        for (auto &ch : channels_)
             crossed += ch->drain();
         crossMsgs_.inc(crossed);
     }

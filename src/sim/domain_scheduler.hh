@@ -20,29 +20,33 @@
  *      index so any thread may run any domain.
  *   3. Barrier: cross-domain messages (timestamped, at least the
  *      channel lookahead in the future — see CrossDomainChannel) are
- *      drained into their destination queues in a fixed merge order
- *      (destination domain id, then source domain id, then push
- *      order; the destination queue then orders by timestamp and
- *      insertion sequence), and registered barrier tasks (stats
- *      folds, tap flushes) run on the coordinator.
+ *      drained into their destination queues, and registered barrier
+ *      tasks (stats folds, tap flushes) run on the coordinator.
  *
- * Epoch length. In fixed mode the epoch is always the base lookahead
- * L, which no channel undercuts: end = T + L - 1. With
- * Options::adaptive set, the coordinator computes the true lower
- * bound on the next cross-domain delivery (LBTS) before each epoch:
- * for every domain d that has pending events and outbound channels,
+ * Tie order. A drained message is keyed by (source domain id, push
+ * index on its channel), not by when the drain happened: at a tick
+ * it shares with local events of the destination it runs first, and
+ * same-tick messages run in source-id, then push order (see
+ * EventQueue::scheduleKeyed). The simulation is therefore the same
+ * wherever barriers fall — for any base lookahead or epoch length —
+ * and in whatever order the barrier drains the channels.
+ *
+ * Epoch length. Before each epoch the coordinator computes the true
+ * lower bound on the next cross-domain delivery (LBTS): for every
+ * domain d that has pending events and outbound channels,
  *
  *     bound_d = max(nextEventTick_d, promise_d) + outLookahead_d
  *
  * where promise_d is the domain's no-sends-before promise (see
  * promiseNoSendsBefore) and outLookahead_d the minimum lookahead over
  * d's outbound channels. No message can deliver before min_d bound_d,
- * so the epoch may stretch to that bound minus one — capped at
- * max_grow fixed steps, never shorter than the fixed epoch. The
- * decision reads only pre-epoch queue state, promises and static
- * lookaheads, never the wall clock, so the epoch sequence — and with
- * it every simulated timestamp and statistic — stays a pure function
- * of the simulation and is bit-identical regardless of thread count.
+ * so the epoch runs to that bound minus one, capped at kMaxGrow base
+ * lookaheads. Every channel lookahead is at least the base, so an
+ * epoch is never shorter than the base step; without promises or
+ * slower channels it is exactly that step. The decision reads only
+ * pre-epoch queue state, promises and static lookaheads, never the
+ * wall clock, so the epoch sequence is a pure function of the
+ * simulation and identical at every thread count.
  *
  * Synchronization is a spin-then-wait epoch generation /
  * completion-count handshake; the release/acquire pair on those
@@ -92,7 +96,7 @@ class TimingDomain
     /**
      * Promise that no event in this domain will push into an outbound
      * cross-domain channel while the domain clock is before @p until.
-     * The adaptive scheduler uses the promise to stretch epochs past
+     * The scheduler uses the promise to stretch epochs past
      * dense local-only activity; a push that breaks it dies in the
      * channel's contract check. The promise is a single claim about
      * the whole domain — only raise it (it is monotonic, and expires
@@ -139,14 +143,8 @@ class TimingDomain
 class DomainScheduler
 {
   public:
-    /** Epoch policy knobs (see the file comment for the algorithm). */
-    struct Options
-    {
-        /** Grow epochs to the provable cross-domain delivery bound. */
-        bool adaptive = false;
-        /** Epoch growth cap, in multiples of the fixed epoch step. */
-        std::uint32_t max_grow = 16;
-    };
+    /** Epoch growth cap, in multiples of the base lookahead. */
+    static constexpr std::uint32_t kMaxGrow = 64;
 
     /**
      * @param name stat-group name ("<machine>.sched" by convention).
@@ -154,12 +152,10 @@ class DomainScheduler
      *        > 0. Derive it from the platform (e.g.
      *        eci::EciLink::minCrossLatency), never hard-code it.
      *        Channels may declare larger per-pair lookaheads, never
-     *        smaller, so this is also the fixed epoch step.
+     *        smaller, so this is also the shortest epoch.
      * @param threads total threads participating in epoch execution,
      *        including the caller of run(); 0 is treated as 1.
      */
-    DomainScheduler(std::string name, Tick lookahead,
-                    std::uint32_t threads, Options opts);
     DomainScheduler(std::string name, Tick lookahead,
                     std::uint32_t threads);
     ~DomainScheduler();
@@ -207,17 +203,16 @@ class DomainScheduler
     /** Simulated time every domain has reached (between runs). */
     Tick now() const { return now_; }
 
-    /** Base lookahead, which is also the fixed epoch step. */
+    /** Base lookahead, which is also the shortest epoch. */
     Tick lookahead() const { return lookahead_; }
     std::uint32_t threads() const { return threads_; }
-    bool adaptive() const { return opts_.adaptive; }
     const std::string &name() const { return stats_.name(); }
 
     std::uint64_t epochs() const { return epochs_.value(); }
     std::uint64_t eventsExecuted() const { return totalEvents_; }
-    /** Epochs stretched past the fixed step by the adaptive policy. */
+    /** Epochs stretched past the base lookahead. */
     std::uint64_t adaptiveGrows() const { return adaptiveGrows_.value(); }
-    /** Fixed-length epochs immediately following a stretched one. */
+    /** Base-length epochs immediately following a stretched one. */
     std::uint64_t
     adaptiveShrinks() const
     {
@@ -246,14 +241,11 @@ class DomainScheduler
     StatGroup stats_;
     Tick lookahead_;
     std::uint32_t threads_;
-    Options opts_;
     Tick now_ = 0;
     bool started_ = false;
 
     std::vector<std::unique_ptr<TimingDomain>> domains_;
     std::vector<std::unique_ptr<CrossDomainChannel>> channels_;
-    /** channels_ sorted by (dst id, src id); rebuilt at run start. */
-    std::vector<CrossDomainChannel *> drainOrder_;
     std::vector<std::function<void()>> barrierTasks_;
 
     // Epoch handshake (see workerLoop for the protocol).
@@ -264,7 +256,7 @@ class DomainScheduler
     std::atomic<bool> stop_{false};
     Tick epochEnd_ = 0;
 
-    /** Did the previous epoch grow past the fixed step? */
+    /** Did the previous epoch grow past the base lookahead? */
     bool lastGrew_ = false;
 
     std::uint64_t totalEvents_ = 0;

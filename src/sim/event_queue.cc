@@ -145,6 +145,22 @@ EventQueue::maybeCompact()
 EventId
 EventQueue::schedule(Tick when, Callback cb, const char *what)
 {
+    return insert(when, seq_++, std::move(cb), what);
+}
+
+EventId
+EventQueue::scheduleKeyed(Tick when, std::uint64_t key, Callback cb)
+{
+    ENZIAN_ASSERT(key < kLocalKeyBase,
+                  "keyed event collides with local sequence (%llu)",
+                  static_cast<unsigned long long>(key));
+    return insert(when, key, std::move(cb), nullptr);
+}
+
+EventId
+EventQueue::insert(Tick when, std::uint64_t key, Callback &&cb,
+                   const char *what)
+{
     ENZIAN_ASSERT(when >= now_,
                   "scheduling event '%s' in the past (%llu < %llu)",
                   what ? what : "?",
@@ -155,7 +171,7 @@ EventQueue::schedule(Tick when, Callback cb, const char *what)
     s.cb = std::move(cb);
     s.what = what;
     s.armed = true;
-    push(Node{when, seq_++, static_cast<std::uint32_t>(s.gen), idx});
+    push(Node{when, key, static_cast<std::uint32_t>(s.gen), idx});
     ++scheduled_;
     ++live_;
     return makeId(idx, s.gen);

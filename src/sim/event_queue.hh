@@ -2,16 +2,23 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * A single EventQueue drives one simulated machine. Events are
- * arbitrary callbacks ordered by (tick, insertion sequence), so
- * same-tick events execute in schedule order, which keeps the
- * simulation deterministic.
+ * A single EventQueue drives one simulated machine (or one timing
+ * domain of it). Events are arbitrary callbacks ordered by (tick,
+ * key). Local events take their key from a sequence that starts at
+ * 2^63, so same-tick local events execute in schedule order. A
+ * cross-domain delivery arrives through scheduleKeyed() with a key
+ * below 2^63 that its channel derives from the sender alone (see
+ * CrossDomainChannel), so at a shared tick every delivery runs before
+ * every local event, and deliveries run in (source domain, push)
+ * order. Neither rule depends on when the delivery was inserted,
+ * which keeps the simulation deterministic and independent of where
+ * epoch barriers fall.
  *
  * The kernel is built for dispatch speed — it is the floor on how
  * fast every bench and test runs:
  *
  *  - The pending set is a 4-ary min-heap of small trivially-copyable
- *    nodes (tick, sequence, slot, generation), not of the callbacks
+ *    nodes (tick, key, slot, generation), not of the callbacks
  *    themselves, so sift operations move 32 bytes and callbacks are
  *    never copied after schedule().
  *  - Callbacks are EventFn: a move-only function with inline storage
@@ -210,6 +217,18 @@ class EventQueue
     EventId scheduleDelta(Tick delay, Callback cb,
                           const char *what = nullptr);
 
+    /** Keys below this are free for scheduleKeyed(); local events
+     *  number upward from it. */
+    static constexpr std::uint64_t kLocalKeyBase = std::uint64_t{1} << 63;
+
+    /**
+     * Schedule @p cb at @p when with the explicit same-tick ordering
+     * key @p key (< kLocalKeyBase), for deliveries inserted from
+     * outside the queue's own timeline. Among events at one tick,
+     * keyed ones run first, in key order.
+     */
+    EventId scheduleKeyed(Tick when, std::uint64_t key, Callback cb);
+
     /**
      * Cancel a previously scheduled event. Cancelling an id that has
      * already run, was already cancelled, or was never issued is an
@@ -264,7 +283,7 @@ class EventQueue
     struct Node
     {
         Tick when;
-        std::uint64_t seq;
+        std::uint64_t key;
         /** Low 32 bits of the slot's generation at schedule time. */
         std::uint32_t gen;
         std::uint32_t slot;
@@ -297,7 +316,7 @@ class EventQueue
     static bool
     before(const Node &a, const Node &b)
     {
-        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+        return a.when != b.when ? a.when < b.when : a.key < b.key;
     }
 
     /** Does heap-node @p ngen match the slot's current generation? */
@@ -310,6 +329,8 @@ class EventQueue
     Slot &slot(std::uint32_t idx) { return *slotPtr_[idx]; }
     const Slot &slot(std::uint32_t idx) const { return *slotPtr_[idx]; }
 
+    EventId insert(Tick when, std::uint64_t key, Callback &&cb,
+                   const char *what);
     std::uint32_t acquireSlot();
     void freeSlot(std::uint32_t idx);
     void push(Node n);
@@ -330,7 +351,7 @@ class EventQueue
     }
 
     Tick now_ = 0;
-    std::uint64_t seq_ = 0;
+    std::uint64_t seq_ = kLocalKeyBase;
     std::vector<Node> heap_;
     /** Chunked arena: slot references stay valid across growth. */
     std::vector<std::unique_ptr<Slot[]>> chunks_;

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the adaptive-epoch scheduler, no-send promises and typed
+ * Tests for the scheduler's epoch growth, no-send promises and typed
  * channel lanes: epochs must grow exactly to the provable delivery
- * bound (and shrink back on new traffic), contract violations must
- * die, and every adaptive configuration must stay bit-identical
- * across thread counts.
+ * bound (and shrink back on new traffic) but never past the growth
+ * cap, contract violations must die, and machines and racks must
+ * stay bit-identical across thread counts and base lookaheads.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "cluster/enzian_cluster.hh"
 #include "cluster/replicated_kv.hh"
+#include "eci/eci_link.hh"
 #include "net/ethernet.hh"
 #include "obs/registry.hh"
 #include "platform/enzian_machine.hh"
@@ -29,15 +30,6 @@ namespace {
 
 constexpr Tick kLookahead = 100;
 
-sim::DomainScheduler::Options
-adaptiveOpts(std::uint32_t max_grow = 16)
-{
-    sim::DomainScheduler::Options o;
-    o.adaptive = true;
-    o.max_grow = max_grow;
-    return o;
-}
-
 TEST(AdaptiveEpochs, GrowsToPromiseBoundAndExactBoundSendLands)
 {
     // Domain a runs dense local events through [0, 600) under a
@@ -45,8 +37,7 @@ TEST(AdaptiveEpochs, GrowsToPromiseBoundAndExactBoundSendLands)
     // lookahead. The scheduler must cover the promised window in few,
     // long epochs, and the exact-bound message must still land on
     // time.
-    sim::DomainScheduler sched("t.agrow", kLookahead, 1,
-                               adaptiveOpts());
+    sim::DomainScheduler sched("t.agrow", kLookahead, 1);
     auto &a = sched.addDomain("a");
     auto &b = sched.addDomain("b");
     auto &ab = sched.channel(a, b);
@@ -63,8 +54,8 @@ TEST(AdaptiveEpochs, GrowsToPromiseBoundAndExactBoundSendLands)
 
     EXPECT_EQ(delivered, 600 + kLookahead);
     EXPECT_GT(sched.adaptiveGrows(), 0u);
-    // 120 dense events would have needed 7 fixed epochs to reach tick
-    // 600; the promise lets far fewer cover the same span.
+    // 120 dense events would have needed 7 base-step epochs to reach
+    // tick 600; the promise lets far fewer cover the same span.
     EXPECT_LT(sched.epochs(), 7u);
 }
 
@@ -72,9 +63,8 @@ TEST(AdaptiveEpochs, ShrinksBackOnNewTraffic)
 {
     // A promised-quiescent phase (grown epochs) followed by chatty
     // ping-pong: the first post-growth epoch must fall back to the
-    // fixed step, counted as a shrink.
-    sim::DomainScheduler sched("t.ashrink", kLookahead, 1,
-                               adaptiveOpts());
+    // base step, counted as a shrink.
+    sim::DomainScheduler sched("t.ashrink", kLookahead, 1);
     auto &a = sched.addDomain("a");
     auto &b = sched.addDomain("b");
     auto &ab = sched.channel(a, b);
@@ -103,32 +93,44 @@ TEST(AdaptiveEpochs, ShrinksBackOnNewTraffic)
     EXPECT_GT(sched.adaptiveShrinks(), 0u);
 }
 
-TEST(AdaptiveEpochs, NeverShorterThanFixedAndCapped)
+TEST(AdaptiveEpochs, NoPromisesRunBaseStepEpochs)
 {
-    // No promises, no idle gaps: adaptive must degenerate to the
-    // fixed schedule (same epoch count as a fixed-mode run).
-    auto run = [](bool adaptive) {
-        sim::DomainScheduler sched(
-            adaptive ? "t.adegen.a" : "t.adegen.f", kLookahead, 1,
-            adaptive ? adaptiveOpts() : sim::DomainScheduler::Options());
-        auto &a = sched.addDomain("a");
-        auto &b = sched.addDomain("b");
-        auto &ab = sched.channel(a, b);
-        for (int i = 0; i < 20; ++i) {
-            a.queue().schedule(i * kLookahead, [&ab, &a]() {
-                ab.push(a.queue().now() + kLookahead, []() {});
-            });
-        }
-        sched.run();
-        return sched.epochs();
-    };
-    EXPECT_EQ(run(true), run(false));
+    // No promises, no idle gaps: every epoch is one base lookahead.
+    // Twenty sends one step apart take twenty epochs, plus one for
+    // the last delivery.
+    sim::DomainScheduler sched("t.basestep", kLookahead, 1);
+    auto &a = sched.addDomain("a");
+    auto &b = sched.addDomain("b");
+    auto &ab = sched.channel(a, b);
+    for (int i = 0; i < 20; ++i) {
+        a.queue().schedule(i * kLookahead, [&ab, &a]() {
+            ab.push(a.queue().now() + kLookahead, []() {});
+        });
+    }
+    sched.run();
+    EXPECT_EQ(sched.epochs(), 21u);
+}
+
+TEST(AdaptiveEpochs, GrowthCappedAtMaxGrow)
+{
+    // A promise far beyond the cap: dense local work across ten
+    // capped spans must take exactly ten epochs of kMaxGrow steps.
+    static_assert(sim::DomainScheduler::kMaxGrow == 64);
+    constexpr Tick kCapSpan = sim::DomainScheduler::kMaxGrow * kLookahead;
+    sim::DomainScheduler sched("t.cap", kLookahead, 1);
+    auto &a = sched.addDomain("a");
+    auto &b = sched.addDomain("b");
+    sched.channel(a, b);
+    a.promiseNoSendsBefore(100 * kCapSpan);
+    for (Tick t = 0; t < 10 * kCapSpan; t += kLookahead)
+        a.queue().schedule(t, []() {});
+    sched.run();
+    EXPECT_EQ(sched.epochs(), 10u);
 }
 
 TEST(AdaptiveEpochsDeath, PromiseViolationDies)
 {
-    sim::DomainScheduler sched("t.aviolate", kLookahead, 1,
-                               adaptiveOpts());
+    sim::DomainScheduler sched("t.aviolate", kLookahead, 1);
     auto &a = sched.addDomain("a");
     auto &b = sched.addDomain("b");
     auto &ab = sched.channel(a, b);
@@ -153,7 +155,7 @@ TEST(AdaptiveEpochsDeath, PerChannelLookaheadViolationDies)
 
 TEST(AdaptiveEpochsDeath, ChannelBelowBaseLookaheadDies)
 {
-    // No channel may undercut the base: the base is the fixed epoch.
+    // No channel may undercut the base: the base is the shortest epoch.
     sim::DomainScheduler sched("t.chanbelow", kLookahead, 1);
     auto &a = sched.addDomain("a");
     auto &b = sched.addDomain("b");
@@ -258,7 +260,7 @@ machineWorkload(const platform::EnzianMachine::Config &base,
         });
     }
     tr.events = m.run();
-    // A long idle gap before phase 2 is exactly what adaptive epochs
+    // A long idle gap before phase 2 is exactly what grown epochs
     // exploit; results must not depend on it.
     const Tick phase2 = units::us(5.0);
     for (std::uint32_t i = 0; i < 24; ++i) {
@@ -279,8 +281,7 @@ machineWorkload(const platform::EnzianMachine::Config &base,
 
 TEST(AdaptiveMachine, RegistryByteIdenticalAcrossThreadCounts)
 {
-    platform::EnzianMachine::Config mc;
-    mc.adaptive_epochs = true;
+    const platform::EnzianMachine::Config mc;
     const auto r1 = machineWorkload(mc, 1);
     const auto r2 = machineWorkload(mc, 2);
     const auto r4 = machineWorkload(mc, 4);
@@ -298,22 +299,27 @@ TEST(AdaptiveMachine, RegistryByteIdenticalAcrossThreadCounts)
     EXPECT_EQ(r1.registryJson, r8.registryJson);
 }
 
-TEST(AdaptiveMachine, AdaptiveMatchesFixedSimulation)
+TEST(AdaptiveMachine, SameSimulationAtHalfLookahead)
 {
-    // The collision-free ECI workload above must produce identical
-    // completion ticks whether epochs grow or not: adaptive changes
-    // the synchronization schedule, never the simulation.
-    platform::EnzianMachine::Config fixed;
-    platform::EnzianMachine::Config adaptive;
-    adaptive.adaptive_epochs = true;
-    const auto rf = machineWorkload(fixed, 1);
-    const auto ra = machineWorkload(adaptive, 1);
-    EXPECT_EQ(rf.cpu, ra.cpu);
-    EXPECT_EQ(rf.fpga, ra.fpga);
-    EXPECT_EQ(rf.events, ra.events);
+    // Halving the base lookahead moves every barrier; the completion
+    // ticks and the event count must not move with them.
+    auto runAt = [](Tick lookahead) {
+        sim::DomainScheduler sched("t.halfla.sched", lookahead, 1);
+        platform::EnzianMachine::Config mc;
+        mc.shared_scheduler = &sched;
+        return machineWorkload(mc, 1);
+    };
+    const Tick floor =
+        eci::EciLink::minCrossLatency(platform::EnzianMachine::Config().link);
+    const auto full = runAt(floor);
+    const auto half = runAt(floor / 2);
+    ASSERT_EQ(full.cpu.size(), 24u);
+    EXPECT_EQ(full.cpu, half.cpu);
+    EXPECT_EQ(full.fpga, half.fpga);
+    EXPECT_EQ(full.events, half.events);
 }
 
-/** Rack KV workload (mirrors test_cluster_parallel) with adaptive. */
+/** Rack KV workload (mirrors test_cluster_parallel). */
 std::pair<std::vector<Tick>, std::string>
 rackKvWorkload(std::uint32_t threads)
 {
@@ -322,7 +328,6 @@ rackKvWorkload(std::uint32_t threads)
     cluster::EnzianCluster::Config cfg;
     cfg.nodes = kNodes;
     cfg.threads = threads;
-    cfg.adaptive_epochs = true;
     cluster::EnzianCluster rack(cfg);
 
     cluster::ReplicatedKv::Config kcfg;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the conservative parallel simulation layer: cross-domain
- * channel merge ordering, epoch-boundary delivery, stale cancels
+ * channel merge ordering, same-tick tie order independent of barrier
+ * placement, epoch-boundary delivery, stale cancels
  * across domains, thread-count determinism of the scheduler and of a
  * full machine, and the chaos-scenario registry byte-compare.
  */
@@ -151,6 +152,40 @@ TEST(DomainScheduler, ThreadCountDeterminism)
     EXPECT_EQ(t1, t2);
     EXPECT_EQ(t1, t4);
     EXPECT_GT(t1.size(), 40u);
+}
+
+/**
+ * Order of two same-tick events in domain b: a delivery from a, pushed
+ * at tick 0, and a local event b schedules at tick 60. With lookahead
+ * 50 a barrier falls between the two schedule calls; with 100 none
+ * does.
+ */
+std::vector<std::string>
+sameTickOrder(Tick lookahead)
+{
+    sim::DomainScheduler sched("t.tie", lookahead, 1);
+    auto &a = sched.addDomain("a");
+    auto &b = sched.addDomain("b");
+    auto &ab = sched.channel(a, b);
+    std::vector<std::string> order;
+    a.queue().schedule(0, [&]() {
+        ab.push(1000, [&]() { order.push_back("delivery"); });
+    });
+    b.queue().schedule(60, [&]() {
+        b.queue().schedule(1000, [&]() { order.push_back("local"); });
+    });
+    sched.run();
+    return order;
+}
+
+TEST(DomainScheduler, TieOrderIndependentOfLookahead)
+{
+    // A delivery's same-tick position is fixed by its sender, not by
+    // which barrier inserted it: it runs before local events.
+    const auto short_epochs = sameTickOrder(50);
+    EXPECT_EQ(short_epochs, sameTickOrder(100));
+    EXPECT_EQ(short_epochs,
+              (std::vector<std::string>{"delivery", "local"}));
 }
 
 TEST(DomainScheduler, RunUntilAdvancesAllDomains)

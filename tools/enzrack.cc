@@ -47,12 +47,11 @@ struct RackResult
 
 RackResult
 runRack(const ClusterTopology &topo, std::uint32_t threads,
-        std::uint32_t ops, bool adaptive)
+        std::uint32_t ops)
 {
     EnzianCluster::Config cfg;
     cfg.topology = topo;
     cfg.threads = threads;
-    cfg.adaptive_epochs = adaptive;
     EnzianCluster rack(cfg);
 
     // The topology's kv service, or a sensible default placement.
@@ -114,7 +113,7 @@ main(int argc, char **argv)
     std::string topo_file;
     std::uint32_t nodes = 4, ports = 4, ops = 4;
     std::uint32_t threads = cli::envThreads();
-    bool describe = false, check = false, adaptive = false;
+    bool describe = false, check = false;
     std::optional<std::string> json;
     cli::Tool tool("enzrack", "Boot a described Enzian rack and run a "
                               "replicated-KV workload over it.");
@@ -126,9 +125,6 @@ main(int argc, char **argv)
         .value("--threads", threads, "N",
                "parallel timing domains on N threads (0 = legacy "
                "shared queue; default ENZIAN_THREADS)")
-        .flag("--adaptive", adaptive,
-              "adaptive epochs up to the provable delivery bound "
-              "(needs --threads)")
         .value("--ops", ops, "N", "puts per node (default 4)")
         .flag("--describe", describe,
               "print the canonical topology and exit")
@@ -147,20 +143,17 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (adaptive && threads == 0)
-        tool.usageError("--adaptive requires --threads >= 1");
     if (check) {
         // The same rack must simulate identically — down to the
         // exported registry bytes — at 1 thread and at N.
         const std::uint32_t n_threads = threads ? threads : 4;
-        const auto r1 = runRack(topo, 1, ops, adaptive);
-        const auto rn = runRack(topo, n_threads, ops, adaptive);
+        const auto r1 = runRack(topo, 1, ops);
+        const auto rn = runRack(topo, n_threads, ops);
         const bool same = r1.registryJson == rn.registryJson &&
                           r1.events == rn.events;
-        std::printf("determinism: %u nodes%s, 1 vs %u threads: %s "
+        std::printf("determinism: %u nodes, 1 vs %u threads: %s "
                     "(%llu events, %zu registry bytes)\n",
-                    topo.nodeCount(),
-                    adaptive ? " (adaptive epochs)" : "", n_threads,
+                    topo.nodeCount(), n_threads,
                     same ? "byte-identical" : "DIVERGED",
                     static_cast<unsigned long long>(r1.events),
                     r1.registryJson.size());
@@ -168,7 +161,7 @@ main(int argc, char **argv)
             return 1;
     }
 
-    const auto res = runRack(topo, threads, ops, adaptive);
+    const auto res = runRack(topo, threads, ops);
     std::printf("rack '%s': %u nodes, %u switch ports, %s\n",
                 topo.name.c_str(), topo.nodeCount(), topo.totalPorts(),
                 threads ? "parallel timing domains" : "legacy queue");
@@ -176,14 +169,11 @@ main(int argc, char **argv)
         std::printf("  threads: %u, epoch lookahead: %.0f ns "
                     "(derived from topology)\n",
                     threads, units::toNanos(res.lookahead));
-        std::printf("  epochs: %llu%s\n",
+        std::printf("  epochs: %llu (%llu grown past the lookahead, "
+                    "%llu shrinks back)\n",
                     static_cast<unsigned long long>(res.epochs),
-                    adaptive ? " (adaptive)" : " (fixed)");
-        if (adaptive)
-            std::printf("  adaptive: %llu grown epochs, %llu shrinks "
-                        "back to the fixed step\n",
-                        static_cast<unsigned long long>(res.grows),
-                        static_cast<unsigned long long>(res.shrinks));
+                    static_cast<unsigned long long>(res.grows),
+                    static_cast<unsigned long long>(res.shrinks));
     }
     std::printf("  events: %llu\n",
                 static_cast<unsigned long long>(res.events));

@@ -41,7 +41,6 @@ main(int argc, char **argv)
 {
     std::optional<std::string> json, prom, csv, trace, slo;
     double interval_us = 50000.0;
-    bool adaptive = false;
     const std::uint32_t threads = cli::envThreads();
     cli::Tool tool("enzstat",
                    "Run the observability demo scenario on a full Enzian "
@@ -59,9 +58,6 @@ main(int argc, char **argv)
                        "serving run")
         .value("--interval-us", interval_us, "N",
                "sampling period for --csv (default 50000)")
-        .flag("--adaptive", adaptive,
-              "adaptive epochs on the parallel machine (at least 1 "
-              "worker thread)")
         .parse(argc, argv);
     if (interval_us <= 0)
         tool.usageError("bad --interval-us");
@@ -78,16 +74,6 @@ main(int argc, char **argv)
                      threads);
     } else {
         cfg.threads = threads;
-    }
-    if (adaptive) {
-        if (csv) {
-            std::fprintf(stderr, "enzstat: --adaptive is ignored with "
-                                 "--csv (single-queue machine)\n");
-        } else {
-            cfg.adaptive_epochs = true;
-            if (cfg.threads == 0)
-                cfg.threads = 1;
-        }
     }
     platform::EnzianMachine m(cfg);
     platform::ObsDemo demo(m);
@@ -114,11 +100,8 @@ main(int argc, char **argv)
                  static_cast<unsigned long long>(demo.fpgaJobs()));
     if (sim::DomainScheduler *sched = m.scheduler()) {
         std::fprintf(
-            stderr,
-            "enzstat: %llu epochs (%s), %llu adaptive grows, %llu "
-            "shrinks\n",
+            stderr, "enzstat: %llu epochs, %llu grown, %llu shrinks\n",
             static_cast<unsigned long long>(sched->epochs()),
-            sched->adaptive() ? "adaptive" : "fixed",
             static_cast<unsigned long long>(sched->adaptiveGrows()),
             static_cast<unsigned long long>(sched->adaptiveShrinks()));
     }
