@@ -20,9 +20,9 @@
  * rack scale: placement is a latency knob the topology description
  * can turn per service.
  *
- * Runs on the legacy shared queue because the pcie-host path's DMA
- * engine bridges the CPU and FPGA queues directly (illegal under
- * parallel timing domains).
+ * The rack runs on its domain scheduler like every rack; the
+ * pcie-host DMA engine runs its host half in the store node's CPU
+ * domain.
  */
 
 #include "bench_common.hh"
@@ -65,17 +65,12 @@ runPlacement(const std::string &placement)
     std::vector<std::uint8_t> out(kValueBytes);
     PlacementResult res;
 
-    auto measure = [&](auto op) {
+    // Mean latency of kOps sequential ops on keys 0..kOps-1 (the
+    // harness's size argument carries the key).
+    auto measure = [&](const TransferFn &op) {
         double total = 0.0;
-        for (std::uint32_t k = 0; k < kOps; ++k) {
-            const Tick start = rack.eventq().now();
-            Tick end = 0;
-            op(k, [&end](Tick t) { end = t; });
-            rack.run();
-            if (!end)
-                fatal("kv op %u never completed", k);
-            total += units::toMicros(end - start);
-        }
+        for (std::uint64_t k = 0; k < kOps; ++k)
+            total += measureLatencyUs(rack, k, op);
         return total / kOps;
     };
 

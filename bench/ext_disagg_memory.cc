@@ -43,9 +43,9 @@ main()
         DisaggMemoryServer::Config scfg;
         scfg.port = rack.portOf(0);
         scfg.region_size = 64ull << 20;
-        DisaggMemoryServer server("srv", rack.eventq(), rack.network(),
-                                  rack.node(0).fpgaMem(), scfg);
-        DisaggMemoryClient client("cli", rack.eventq(), rack.network(),
+        DisaggMemoryServer server("srv", rack.node(0), rack.network(),
+                                  scfg);
+        DisaggMemoryClient client("cli", rack.node(1), rack.network(),
                                   rack.portOf(1), server);
 
         std::vector<std::uint8_t> table(rows * row);
@@ -54,7 +54,7 @@ main()
         bool loaded = false;
         client.write(0, table.data(), table.size(),
                      [&](Tick) { loaded = true; });
-        rack.eventq().run();
+        rack.run();
         if (!loaded)
             fatal("table load failed");
 
@@ -66,21 +66,21 @@ main()
 
         Tick scan_t = 0;
         std::uint64_t wire = 0;
-        const Tick t0 = rack.eventq().now();
+        const Tick t0 = rack.now();
         client.scanFilter(0, row, rows, pred,
                           [&](Tick t, std::vector<std::uint8_t>,
                               std::uint64_t w) {
                               scan_t = t - t0;
                               wire = w;
                           });
-        rack.eventq().run();
+        rack.run();
 
         std::vector<std::uint8_t> full(rows * row);
         Tick read_t = 0;
-        const Tick t1 = rack.eventq().now();
+        const Tick t1 = rack.now();
         client.read(0, full.data(), full.size(),
                     [&](Tick t) { read_t = t - t1; });
-        rack.eventq().run();
+        rack.run();
 
         std::printf("%13.2f%% %14.0f %14.0f %14.1f %13.1fx\n",
                     sel * 100.0, units::toMicros(scan_t),

@@ -49,7 +49,7 @@ struct Rig
         if (kind == "enzian-dram" || kind == "enzian-host") {
             auto cfg = platform::enzianDefaultConfig();
             machine = makeBenchMachine(cfg);
-            eq = &machine->eventq();
+            eq = &machine->fpgaEventq();
             if (kind == "enzian-dram")
                 path = std::make_unique<DirectDramPath>(
                     machine->fpgaMem());
@@ -79,6 +79,10 @@ struct Rig
         init = std::make_unique<RdmaInitiator>("i", *eq, *sw, 1, 0);
         buf.resize(1 << 20, 0x5a);
     }
+
+    /** The rig's simulation, as the measurement harness drives it. */
+    Tick now() const { return machine ? machine->now() : eq->now(); }
+    std::uint64_t run() { return machine ? machine->run() : eq->run(); }
 
     TransferFn
     transfer(bool write)
@@ -117,11 +121,10 @@ main()
             for (const char *k : kinds) {
                 Rig lat_rig(k);
                 const double lat = measureLatencyUs(
-                    *lat_rig.eq, size, lat_rig.transfer(write));
+                    lat_rig, size, lat_rig.transfer(write));
                 Rig thr_rig(k);
                 const double thr = measureThroughputGiB(
-                    *thr_rig.eq, size, 150, 8,
-                    thr_rig.transfer(write));
+                    thr_rig, size, 150, 8, thr_rig.transfer(write));
                 std::printf(" %14.2f %15.2f", lat, thr);
                 std::string key = format(
                     "%s_%s_%lluB", k, write ? "write" : "read",

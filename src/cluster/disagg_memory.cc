@@ -64,11 +64,11 @@ DisaggMemoryServer::takeResponse(std::uint64_t id)
     return out ? std::move(*out) : std::vector<std::uint8_t>{};
 }
 
-DisaggMemoryServer::DisaggMemoryServer(std::string name, EventQueue &eq,
-                                       net::Switch &sw,
-                                       mem::MemoryController &fpga_mem,
-                                       const Config &cfg)
-    : SimObject(std::move(name), eq), sw_(sw), mem_(fpga_mem), cfg_(cfg)
+DisaggMemoryServer::DisaggMemoryServer(std::string name,
+                                       platform::EnzianMachine &node,
+                                       net::Switch &sw, const Config &cfg)
+    : SimObject(std::move(name), node.fpgaEventq()), sw_(sw),
+      mem_(node.fpgaMem()), cfg_(cfg)
 {
     sw_.setEndpoint(cfg_.port,
                     [this](Tick when, std::uint64_t payload,
@@ -178,11 +178,12 @@ DisaggMemoryServer::serve(std::uint64_t id)
     panic("bad disagg request kind");
 }
 
-DisaggMemoryClient::DisaggMemoryClient(std::string name, EventQueue &eq,
+DisaggMemoryClient::DisaggMemoryClient(std::string name,
+                                       platform::EnzianMachine &node,
                                        net::Switch &sw,
                                        std::uint32_t port,
                                        DisaggMemoryServer &server)
-    : SimObject(std::move(name), eq), sw_(sw), port_(port),
+    : SimObject(std::move(name), node.fpgaEventq()), sw_(sw), port_(port),
       server_(server)
 {
     sw_.setEndpoint(port_,

@@ -16,6 +16,10 @@
  * memory* in the server FPGA, returning only matching rows - the
  * whole point of the design is that selection-heavy operators move
  * less data than an RDMA read of the table.
+ *
+ * Server and client each take the node whose switch port they own
+ * and run on that node's FPGA timing domain, where the port's
+ * endpoint side lives.
  */
 
 #ifndef ENZIAN_CLUSTER_DISAGG_MEMORY_HH
@@ -26,9 +30,8 @@
 #include <vector>
 
 #include "base/wire_ledger.hh"
-#include "mem/memory_controller.hh"
 #include "net/switch.hh"
-#include "sim/clock_domain.hh"
+#include "platform/enzian_machine.hh"
 
 namespace enzian::cluster {
 
@@ -84,9 +87,9 @@ class DisaggMemoryServer : public SimObject
         double clock_hz = 250e6;
     };
 
-    DisaggMemoryServer(std::string name, EventQueue &eq, net::Switch &sw,
-                       mem::MemoryController &fpga_mem,
-                       const Config &cfg);
+    /** Export @p node's FPGA DRAM through its port cfg.port. */
+    DisaggMemoryServer(std::string name, platform::EnzianMachine &node,
+                       net::Switch &sw, const Config &cfg);
 
     std::uint64_t requestsServed() const { return served_.value(); }
     std::uint64_t rowsScanned() const { return scanned_.value(); }
@@ -150,10 +153,11 @@ class DisaggMemoryClient : public SimObject
         Tick, std::vector<std::uint8_t>, std::uint64_t)>;
 
     /**
+     * @param node the node owning switch port @p port
      * @param server the serving instance; owns the wire ledgers and
      *        determines the destination port
      */
-    DisaggMemoryClient(std::string name, EventQueue &eq,
+    DisaggMemoryClient(std::string name, platform::EnzianMachine &node,
                        net::Switch &sw, std::uint32_t port,
                        DisaggMemoryServer &server);
 

@@ -24,10 +24,11 @@ EciBridgeTarget::takeResult(std::uint64_t id)
     return out ? std::move(*out) : std::vector<std::uint8_t>{};
 }
 
-EciBridgeTarget::EciBridgeTarget(std::string name, EventQueue &eq,
-                                 net::Switch &sw, eci::HomeAgent &home,
-                                 const Config &cfg)
-    : SimObject(std::move(name), eq), sw_(sw), home_(home), cfg_(cfg)
+EciBridgeTarget::EciBridgeTarget(std::string name,
+                                 platform::EnzianMachine &node,
+                                 net::Switch &sw, const Config &cfg)
+    : SimObject(std::move(name), node.fpgaEventq()), sw_(sw),
+      remote_(node.fpgaRemote()), cfg_(cfg)
 {
     sw_.setEndpoint(cfg_.port,
                     [this](Tick when, std::uint64_t payload,
@@ -51,7 +52,7 @@ EciBridgeTarget::onFrame(Tick, std::uint64_t, std::uint64_t user)
             served_.inc();
             const Addr line = cfg_.export_base + op->line;
             if (op->write) {
-                home_.localWrite(
+                remote_.writeLineUncached(
                     line, op->data.data(), [this, op, id](Tick) {
                         sw_.sendFrom(cfg_.port, bridgeHeaderBytes,
                                      net::Switch::makeTag(op->srcPort,
@@ -60,7 +61,7 @@ EciBridgeTarget::onFrame(Tick, std::uint64_t, std::uint64_t user)
             } else {
                 auto buf = std::make_shared<
                     std::vector<std::uint8_t>>(cache::lineSize);
-                home_.localRead(
+                remote_.readLineUncached(
                     line, buf->data(), [this, op, buf, id](Tick) {
                         results_.putAt(id, std::move(*buf));
                         sw_.sendFrom(
@@ -73,13 +74,14 @@ EciBridgeTarget::onFrame(Tick, std::uint64_t, std::uint64_t user)
         "bridge-serve");
 }
 
-EciBridgeSource::EciBridgeSource(std::string name, EventQueue &eq,
+EciBridgeSource::EciBridgeSource(std::string name,
+                                 platform::EnzianMachine &node,
                                  net::Switch &sw,
                                  eci::LineSource &fallback,
                                  EciBridgeTarget &target,
                                  const Config &cfg)
-    : SimObject(std::move(name), eq), sw_(sw), fallback_(fallback),
-      target_(target), cfg_(cfg)
+    : SimObject(std::move(name), node.fpgaEventq()), sw_(sw),
+      fallback_(fallback), target_(target), cfg_(cfg)
 {
     ENZIAN_ASSERT(cache::isLineAligned(cfg_.window_base),
                   "bridge window must be line aligned");

@@ -12,8 +12,11 @@
  * through its ordinary ECI path (the L2 really holds them in
  * MOESI states; A's FPGA home agent tracks it in its directory); when
  * a refill misses, A's FPGA fetches the line over 100 GbE from B's
- * bridge target, which performs a *coherent local access* on B - so a
- * line dirty in B's L2 is snooped and forwarded across the wire.
+ * bridge target. The target is FPGA logic on B: it reaches B's memory
+ * through B's FPGA remote agent over B's own ECI link (uncached RLDI /
+ * RSTT), so a line dirty in B's L2 is snooped by B's CPU home agent
+ * and forwarded across the wire. Each side runs on its own node's
+ * FPGA timing domain.
  *
  * Writebacks travel the same path and are non-posted (the ECI ack
  * carries the remote durability point), so read-after-write across
@@ -32,6 +35,7 @@
 #include "base/wire_ledger.hh"
 #include "eci/home_agent.hh"
 #include "net/switch.hh"
+#include "platform/enzian_machine.hh"
 
 namespace enzian::cluster {
 
@@ -50,11 +54,12 @@ class EciBridgeTarget : public SimObject
     };
 
     /**
-     * @param home B's home agent for the exported region (local
-     *        accesses through it keep B's caches coherent)
+     * @param node the exporting machine B; the target owns its port
+     *        cfg.port and reaches the exported region (B's CPU-homed
+     *        memory) through B's FPGA remote agent
      */
-    EciBridgeTarget(std::string name, EventQueue &eq, net::Switch &sw,
-                    eci::HomeAgent &home, const Config &cfg);
+    EciBridgeTarget(std::string name, platform::EnzianMachine &node,
+                    net::Switch &sw, const Config &cfg);
 
     std::uint64_t linesServed() const { return served_.value(); }
 
@@ -87,7 +92,7 @@ class EciBridgeTarget : public SimObject
     void onFrame(Tick when, std::uint64_t payload, std::uint64_t user);
 
     net::Switch &sw_;
-    eci::HomeAgent &home_;
+    eci::RemoteAgent &remote_;
     Config cfg_;
     Counter served_;
     WireLedger<WireOp> ops_;
@@ -112,14 +117,15 @@ class EciBridgeSource : public SimObject, public eci::LineSource
     };
 
     /**
+     * @param node the importing machine A, owning port cfg.port
      * @param fallback source for addresses outside the window
      *        (normally the machine's DRAM source)
      * @param target the exporting machine's bridge target; owns the
      *        wire ledgers and determines the destination port
      */
-    EciBridgeSource(std::string name, EventQueue &eq, net::Switch &sw,
-                    eci::LineSource &fallback, EciBridgeTarget &target,
-                    const Config &cfg);
+    EciBridgeSource(std::string name, platform::EnzianMachine &node,
+                    net::Switch &sw, eci::LineSource &fallback,
+                    EciBridgeTarget &target, const Config &cfg);
 
     void readLine(Tick when, Addr addr, std::uint8_t *out,
                   Done done) override;

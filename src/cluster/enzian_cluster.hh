@@ -10,15 +10,13 @@
  * ports into one switch; cluster services (replicated KV,
  * disaggregated memory, the coherence bridge) run on top.
  *
- * Two execution modes:
- *  - legacy (threads == 0): every machine shares one EventQueue, as
- *    before — sequential, single timeline;
- *  - parallel (threads >= 1): one DomainScheduler runs a network
- *    timing domain (the switch fabric) plus each machine's CPU and
- *    FPGA domains; cross-machine frames ride CrossDomainChannels with
- *    the epoch lookahead derived from the smallest ECI / Ethernet
- *    latency in the rack (never hard-coded). Results are bit-identical
- *    at any thread count.
+ * The rack runs on one DomainScheduler: a network timing domain (the
+ * switch fabric) plus each machine's CPU and FPGA domains.
+ * Cross-machine frames ride CrossDomainChannels with the epoch
+ * lookahead derived from the smallest ECI / Ethernet latency in the
+ * rack (never hard-coded). Results are bit-identical at any thread
+ * count. A cluster service runs on the FPGA domain of the node whose
+ * switch port it owns.
  *
  * Switch port convention: node i owns ports [topology().firstPort(i),
  * firstPort(i) + ports) — Enzian's FPGA exposes 4 x 100 GbE.
@@ -58,9 +56,8 @@ class EnzianCluster
          *  derived from the topology on top of this). */
         net::Switch::Config network;
         /**
-         * Parallel simulation: >= 1 runs the rack on a
-         * DomainScheduler with this many threads (1 = same domain
-         * semantics, sequential). 0 (default) = legacy shared queue.
+         * Threads running the rack's DomainScheduler; 0 (default)
+         * and 1 both run the domains sequentially on the caller.
          */
         std::uint32_t threads = 0;
 
@@ -73,18 +70,12 @@ class EnzianCluster
     EnzianCluster(const EnzianCluster &) = delete;
     EnzianCluster &operator=(const EnzianCluster &) = delete;
 
-    /**
-     * The cluster-wide queue: the legacy shared queue, or the network
-     * domain's queue in parallel mode (usable for scheduling before
-     * the run starts).
-     */
-    EventQueue &eventq();
     net::Switch &network() { return *switch_; }
 
-    /** True when the rack runs as parallel timing domains. */
-    bool parallel() const { return sched_ != nullptr; }
-    /** The rack's scheduler, or null in legacy mode. */
+    /** The rack's scheduler. */
     sim::DomainScheduler *scheduler() { return sched_.get(); }
+    /** Simulated time every domain has reached (between runs). */
+    Tick now() const;
 
     /** Run the whole rack to completion. @return events executed. */
     std::uint64_t run();
@@ -125,10 +116,8 @@ class EnzianCluster
 
     Config cfg_;
     ClusterTopology topo_;
-    EventQueue eq_; ///< legacy shared queue (idle in parallel mode)
     /** Declared before every component so domain queues die last. */
     std::unique_ptr<sim::DomainScheduler> sched_;
-    sim::TimingDomain *netDomain_ = nullptr;
     std::vector<std::unique_ptr<platform::EnzianMachine>> nodes_;
     std::unique_ptr<net::Switch> switch_;
 };

@@ -13,6 +13,18 @@
 
 namespace enzian::pcie {
 
+namespace {
+
+/** Doorbell + descriptor fetch + engine start of a quiet engine. */
+Tick
+setupTicks(const DmaEngine::Config &cfg)
+{
+    return units::ns(cfg.doorbell_ns) + units::ns(cfg.descriptor_fetch_ns) +
+           units::ns(cfg.engine_setup_ns);
+}
+
+} // namespace
+
 DmaEngine::DmaEngine(std::string name, EventQueue &eq, PcieLink &link,
                      mem::MemoryController &host,
                      mem::MemoryController &device, const Config &cfg)
@@ -25,65 +37,104 @@ DmaEngine::DmaEngine(std::string name, EventQueue &eq, PcieLink &link,
 }
 
 Tick
+DmaEngine::minCrossLatency(const Config &cfg, const PcieLink::Config &link)
+{
+    return std::min({setupTicks(cfg), units::ns(cfg.per_descriptor_ns),
+                     units::ns(link.latency_ns)});
+}
+
+void
+DmaEngine::bindDomains(sim::DomainScheduler &sched,
+                       sim::TimingDomain &device_domain,
+                       sim::TimingDomain &host_domain)
+{
+    ENZIAN_ASSERT(&device_domain.queue() == &eventq(),
+                  "DMA engine '%s' bound to a foreign device domain",
+                  name().c_str());
+    const Tick floor = minCrossLatency(cfg_, link_.config());
+    ENZIAN_ASSERT(sched.lookahead() <= floor,
+                  "scheduler lookahead exceeds the latency floor of "
+                  "DMA engine '%s'",
+                  name().c_str());
+    dirBind_.bind(sched, device_domain, host_domain, floor);
+}
+
+void
+DmaEngine::post(std::size_t to, Tick when, EventFn fn)
+{
+    if (dirBind_.bound())
+        dirBind_.channel(to ^ 1).push(when, std::move(fn));
+    else
+        eventq().schedule(when, std::move(fn), "dma-step");
+}
+
+Tick
 DmaEngine::transferLatency(std::uint64_t len) const
 {
-    const Tick setup = units::ns(cfg_.doorbell_ns) +
-                       units::ns(cfg_.descriptor_fetch_ns) +
-                       units::ns(cfg_.engine_setup_ns);
     const std::uint64_t wire =
         wireBytesFor(len, link_.config().max_payload);
-    return setup + units::transferTicks(wire, link_.wireBandwidth()) +
+    return setupTicks(cfg_) +
+           units::transferTicks(wire, link_.wireBandwidth()) +
            link_.latency();
 }
 
 void
-DmaEngine::transfer(Addr src_off, Addr dst_off, std::uint64_t len,
+DmaEngine::transfer(Addr dev_off, Addr host_off, std::uint64_t len,
                     bool to_host, Done done)
 {
     xfers_.inc();
 
-    mem::MemoryController &src = to_host ? device_ : host_;
-    mem::MemoryController &dst = to_host ? host_ : device_;
-
-    // Functional copy.
-    std::vector<std::uint8_t> buf(len);
-    src.store().read(src_off, buf.data(), len);
-    dst.store().write(dst_off, buf.data(), len);
-
     // Timing. The first transfer in a quiet engine pays the full
     // setup; pipelined transfers are gated by per-descriptor
     // processing plus link occupancy.
-    const Tick setup = units::ns(cfg_.doorbell_ns) +
-                       units::ns(cfg_.descriptor_fetch_ns) +
-                       units::ns(cfg_.engine_setup_ns);
+    const Tick submitted = now();
     Tick start;
-    if (engineFreeAt_ <= now()) {
-        start = now() + setup;
+    if (engineFreeAt_ <= submitted) {
+        start = submitted + setupTicks(cfg_);
     } else {
         start = engineFreeAt_ + units::ns(cfg_.per_descriptor_ns);
     }
-    // The three stages (source DRAM, wire, destination DRAM) stream
-    // concurrently chunk by chunk; the slowest stage dominates.
-    const Tick src_done = src.dram().access(start, len);
-    const Tick wire_done = link_.transfer(start, len, to_host);
-    const Tick dst_done = dst.dram().access(start, len);
-    const Tick complete =
-        std::max(src_done, std::max(wire_done, dst_done));
     engineFreeAt_ = std::max(engineFreeAt_, start);
-    bytes_.inc(len);
-    latency_.sample(units::toNanos(complete - now()));
-    ENZIAN_SPAN(name(), to_host ? "d2h" : "h2d", now(), complete);
+    // The three stages (source DRAM, wire, destination DRAM) stream
+    // concurrently chunk by chunk; the slowest stage dominates. The
+    // host stage is timed by the host half, at the start tick.
+    const Tick wire_done = link_.transfer(start, len, to_host);
+    const Tick dev_done = device_.dram().access(start, len);
 
-    eventq().schedule(
-        complete, [done = std::move(done), complete]() { done(complete); },
-        "dma-done");
+    std::vector<std::uint8_t> buf(len);
+    if (to_host)
+        device_.store().read(dev_off, buf.data(), len);
+    post(1, start,
+         [this, dev_off, host_off, len, to_host, submitted, start,
+          device_ready = std::max(wire_done, dev_done),
+          buf = std::move(buf), done = std::move(done)]() mutable {
+             if (to_host)
+                 host_.store().write(host_off, buf.data(), len);
+             else
+                 host_.store().read(host_off, buf.data(), len);
+             const Tick complete =
+                 std::max(device_ready, host_.dram().access(start, len));
+             post(0, complete,
+                  [this, dev_off, len, to_host, submitted, complete,
+                   buf = std::move(buf), done = std::move(done)]() {
+                      if (!to_host)
+                          device_.store().write(dev_off, buf.data(),
+                                                len);
+                      bytes_.inc(len);
+                      latency_.sample(
+                          units::toNanos(complete - submitted));
+                      ENZIAN_SPAN(name(), to_host ? "d2h" : "h2d",
+                                  submitted, complete);
+                      done(complete);
+                  });
+         });
 }
 
 void
 DmaEngine::hostToDevice(Addr host_off, Addr dev_off, std::uint64_t len,
                         Done done)
 {
-    transfer(host_off, dev_off, len, /*to_host=*/false, std::move(done));
+    transfer(dev_off, host_off, len, /*to_host=*/false, std::move(done));
 }
 
 void

@@ -67,13 +67,6 @@ class EnzianMachine
         /** Initial bitstream loaded into the fabric. */
         std::string bitstream = "eci-bench";
         /**
-         * Optional externally owned event queue; machines in a
-         * cluster share one so their timelines interleave. When
-         * null the machine owns its queue. Mutually exclusive with
-         * parallel domain mode (threads / shared_scheduler).
-         */
-        EventQueue *shared_eventq = nullptr;
-        /**
          * Parallel simulation: > 0 shards the machine into a CPU
          * timing domain and an FPGA timing domain run by a
          * conservative-PDES scheduler on this many threads. The
@@ -90,7 +83,7 @@ class EnzianMachine
          * epoch loop (the scaling bench does this). Must outlive the
          * machine, and its lookahead must not exceed this machine's
          * link latency floor. Implies domain mode regardless of
-         * `threads`.
+         * `threads` (a rack's machines all join its scheduler).
          */
         sim::DomainScheduler *shared_scheduler = nullptr;
         /** Instance name prefix (must be unique in a cluster). */
@@ -175,7 +168,7 @@ class EnzianMachine
     sim::DomainScheduler *schedPtr_ = nullptr;
     sim::TimingDomain *cpuDomain_ = nullptr;
     sim::TimingDomain *fpgaDomain_ = nullptr;
-    std::unique_ptr<EventQueue> eq_; ///< owned unless shared
+    std::unique_ptr<EventQueue> eq_; ///< owned in single-queue mode
     EventQueue *eqPtr_ = nullptr;
     EventQueue *fpgaEqPtr_ = nullptr;
     std::unique_ptr<mem::AddressMap> map_;

@@ -2,6 +2,10 @@
  * @file
  * Tests for multi-board clustering: disaggregated memory with
  * operator pushdown, and the cross-machine coherence bridge.
+ *
+ * The racks run on ENZIAN_CLUSTER_TEST_THREADS scheduler threads:
+ * 1 in test_cluster, 4 in test_cluster_t4 (the same file, labelled
+ * `parallel` so the TSan job covers the services).
  */
 
 #include <gtest/gtest.h>
@@ -12,36 +16,51 @@
 #include "cluster/eci_bridge.hh"
 #include "cluster/enzian_cluster.hh"
 
+#ifndef ENZIAN_CLUSTER_TEST_THREADS
+#define ENZIAN_CLUSTER_TEST_THREADS 1
+#endif
+
 namespace enzian::cluster {
 namespace {
 
-TEST(Cluster, ComposesNodesOnSharedQueue)
+/** A rack of @p nodes on the file's scheduler thread count. */
+EnzianCluster::Config
+rackConfig(std::uint32_t nodes)
 {
     EnzianCluster::Config cfg;
-    cfg.nodes = 3;
-    EnzianCluster c(cfg);
+    cfg.nodes = nodes;
+    cfg.threads = ENZIAN_CLUSTER_TEST_THREADS;
+    return cfg;
+}
+
+TEST(Cluster, ComposesNodesOnOneScheduler)
+{
+    EnzianCluster c(rackConfig(3));
     EXPECT_EQ(c.nodeCount(), 3u);
     EXPECT_EQ(c.network().portCount(), 12u);
     EXPECT_EQ(c.portOf(2, 1), 9u);
-    // All machines tick on the same queue.
-    EXPECT_EQ(&c.node(0).eventq(), &c.eventq());
-    EXPECT_EQ(&c.node(2).eventq(), &c.eventq());
+    // All machines join the rack's scheduler: a net domain plus a
+    // cpu/fpga pair per node.
+    EXPECT_EQ(c.node(0).scheduler(), c.scheduler());
+    EXPECT_EQ(c.node(2).scheduler(), c.scheduler());
+    EXPECT_EQ(c.scheduler()->domainCount(), 7u);
+    EXPECT_EQ(c.scheduler()->threads(), ENZIAN_CLUSTER_TEST_THREADS);
 }
 
 TEST(Cluster, NodesOperateIndependently)
 {
-    EnzianCluster::Config cfg;
-    cfg.nodes = 2;
-    EnzianCluster c(cfg);
+    EnzianCluster c(rackConfig(2));
     std::vector<std::uint8_t> d0(cache::lineSize, 0x11);
     std::vector<std::uint8_t> d1(cache::lineSize, 0x22);
-    int done = 0;
+    // One flag per node: the callbacks run in different domains.
+    bool done0 = false, done1 = false;
     c.node(0).fpgaRemote().writeLineUncached(0x1000, d0.data(),
-                                             [&](Tick) { ++done; });
+                                             [&](Tick) { done0 = true; });
     c.node(1).fpgaRemote().writeLineUncached(0x1000, d1.data(),
-                                             [&](Tick) { ++done; });
-    c.eventq().run();
-    EXPECT_EQ(done, 2);
+                                             [&](Tick) { done1 = true; });
+    c.run();
+    EXPECT_TRUE(done0);
+    EXPECT_TRUE(done1);
     std::uint8_t b0, b1;
     c.node(0).cpuMem().store().read(0x1000, &b0, 1);
     c.node(1).cpuMem().store().read(0x1000, &b1, 1);
@@ -54,17 +73,14 @@ class DisaggTest : public ::testing::Test
   protected:
     DisaggTest()
     {
-        EnzianCluster::Config cfg;
-        cfg.nodes = 2;
-        cluster = std::make_unique<EnzianCluster>(cfg);
+        cluster = std::make_unique<EnzianCluster>(rackConfig(2));
         DisaggMemoryServer::Config scfg;
         scfg.port = cluster->portOf(0);
         scfg.region_size = 64ull << 20;
         server = std::make_unique<DisaggMemoryServer>(
-            "server", cluster->eventq(), cluster->network(),
-            cluster->node(0).fpgaMem(), scfg);
+            "server", cluster->node(0), cluster->network(), scfg);
         client = std::make_unique<DisaggMemoryClient>(
-            "client", cluster->eventq(), cluster->network(),
+            "client", cluster->node(1), cluster->network(),
             cluster->portOf(1), *server);
     }
 
@@ -81,14 +97,14 @@ TEST_F(DisaggTest, RemoteReadWriteRoundTrip)
     bool wrote = false;
     client->write(0x4000, data.data(), data.size(),
                   [&](Tick) { wrote = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(wrote);
 
     std::vector<std::uint8_t> back(data.size());
     bool read_done = false;
     client->read(0x4000, back.data(), back.size(),
                  [&](Tick) { read_done = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(read_done);
     EXPECT_EQ(back, data);
 }
@@ -106,7 +122,7 @@ TEST_F(DisaggTest, PushdownFilterReturnsOnlyMatches)
     bool loaded = false;
     client->write(0, table.data(), table.size(),
                   [&](Tick) { loaded = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(loaded);
 
     Predicate pred;
@@ -121,7 +137,7 @@ TEST_F(DisaggTest, PushdownFilterReturnsOnlyMatches)
                            matches = std::move(m);
                            wire_bytes = wire;
                        });
-    cluster->eventq().run();
+    cluster->run();
 
     ASSERT_EQ(matches.size(), 100u * row);
     std::uint64_t first_key = 0;
@@ -158,19 +174,15 @@ class BridgeTest : public ::testing::Test
   protected:
     BridgeTest()
     {
-        EnzianCluster::Config cfg;
-        cfg.nodes = 2;
-        cluster = std::make_unique<EnzianCluster>(cfg);
+        cluster = std::make_unique<EnzianCluster>(rackConfig(2));
         auto &a = cluster->node(0);
-        auto &b = cluster->node(1);
 
         // B exports the first 16 MiB of its CPU memory.
         EciBridgeTarget::Config tcfg;
         tcfg.port = cluster->portOf(1);
         tcfg.export_base = 0;
         target = std::make_unique<EciBridgeTarget>(
-            "bridge.target", cluster->eventq(), cluster->network(),
-            b.cpuHome(), tcfg);
+            "bridge.target", cluster->node(1), cluster->network(), tcfg);
 
         // A maps it at a window of its FPGA-homed space.
         fallback = std::make_unique<eci::DramLineSource>(a.fpgaMem(),
@@ -180,8 +192,8 @@ class BridgeTest : public ::testing::Test
         scfg.window_base = windowBase();
         scfg.window_size = 16ull << 20;
         source = std::make_unique<EciBridgeSource>(
-            "bridge.source", cluster->eventq(), cluster->network(),
-            *fallback, *target, scfg);
+            "bridge.source", a, cluster->network(), *fallback, *target,
+            scfg);
         a.fpgaHome().setLineSource(source.get());
     }
 
@@ -208,12 +220,12 @@ TEST_F(BridgeTest, CpuACachesMemoryOfMachineB)
     std::uint8_t out[cache::lineSize] = {};
     bool done = false;
     Tick latency = 0;
-    const Tick start = cluster->eventq().now();
+    const Tick start = cluster->now();
     a.cpuRemote().readLine(windowBase() + 0x2000, out, [&](Tick t) {
         done = true;
         latency = t - start;
     });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(done);
     EXPECT_EQ(std::memcmp(out, data.data(), cache::lineSize), 0);
     // The line is genuinely cached on A.
@@ -227,7 +239,7 @@ TEST_F(BridgeTest, CpuACachesMemoryOfMachineB)
     bool done2 = false;
     a.cpuRemote().readLine(windowBase() + 0x2000, out,
                            [&](Tick) { done2 = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(done2);
     EXPECT_EQ(source->linesBridged(), 1u);
 }
@@ -244,7 +256,7 @@ TEST_F(BridgeTest, BridgedReadSnoopsDirtyLineInRemoteL2)
     bool done = false;
     a.cpuRemote().readLine(windowBase() + 0x3000, out,
                            [&](Tick) { done = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(done);
     // Coherence composes across the bridge: A sees B's dirty data.
     EXPECT_EQ(std::memcmp(out, dirty.data(), cache::lineSize), 0);
@@ -258,11 +270,11 @@ TEST_F(BridgeTest, WritebackLandsOnMachineB)
     bool wrote = false;
     a.cpuRemote().writeLine(windowBase() + 0x4000, data.data(),
                             [&](Tick) { wrote = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(wrote);
     bool flushed = false;
     a.cpuRemote().flushAll([&](Tick) { flushed = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(flushed);
     std::uint8_t back[cache::lineSize];
     b.cpuMem().store().read(0x4000, back, cache::lineSize);
@@ -277,7 +289,7 @@ TEST_F(BridgeTest, OutsideWindowFallsThroughToLocalDram)
     a.cpuRemote().writeLineUncached(mem::AddressMap::fpgaDramBase,
                                     data.data(),
                                     [&](Tick) { done = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(done);
     std::uint8_t back[cache::lineSize];
     a.fpgaMem().store().read(0, back, cache::lineSize);
@@ -300,7 +312,7 @@ TEST_F(BridgeTest, ReadAfterWriteAcrossBridgeIsSafe)
                 windowBase() + 0x5000, out,
                 [&](Tick) { read_done = true; });
         });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(read_done);
     EXPECT_EQ(std::memcmp(out, data.data(), cache::lineSize), 0);
 }

@@ -1,11 +1,12 @@
 /**
  * @file
  * Rack-scale tests: N-node clusters on the domain scheduler
- * (thread-count determinism down to the registry bytes), the
- * replicated KV store (read-your-writes, nearest-replica reads,
- * recovery under RDMA request drops), and regressions for the
- * cluster-layer bug purge (two servers in one process, switch tag
- * overflow, out-of-bounds pushdown predicates).
+ * (thread-count determinism down to the registry bytes, for the KV
+ * store and for every cluster service), the replicated KV store
+ * (read-your-writes, nearest-replica reads, recovery under RDMA
+ * request drops), and regressions for the cluster-layer bug purge
+ * (two servers in one process, switch tag overflow, out-of-bounds
+ * pushdown predicates).
  */
 
 #include <gtest/gtest.h>
@@ -110,15 +111,134 @@ TEST(ClusterParallel, RegistryByteIdenticalAcrossThreadCounts)
         EXPECT_EQ(r1.values[n], patternFor(((n + 1) % kNodes) * 8));
 }
 
-TEST(ClusterParallel, DomainModeMatchesLegacyTicks)
+/**
+ * Every cluster service on one 4-node rack at once: a pcie-host KV
+ * store (primary node 0, replica node 1), a disaggregated-memory
+ * write + pushdown scan (server node 2, client node 3) and a bridged
+ * read plus write-back (node 0 imports node 1's CPU memory). Traces
+ * are kept per issuing domain and merged after the run.
+ */
+RackRun
+servicesWorkload(std::uint32_t threads)
 {
-    // threads=1 runs the same rack as timing domains; the simulation
-    // (completion ticks, read values) must be identical to the legacy
-    // shared-queue cluster.
-    const auto legacy = rackKvWorkload(0);
-    const auto domain = rackKvWorkload(1);
-    EXPECT_EQ(legacy.ticks, domain.ticks);
-    EXPECT_EQ(legacy.values, domain.values);
+    EnzianCluster::Config cfg;
+    cfg.nodes = kNodes;
+    cfg.threads = threads;
+    EnzianCluster rack(cfg);
+    auto &a = rack.node(0);
+    auto &b = rack.node(1);
+
+    // KV stores serve on link 2 and clients issue on link 3; the
+    // disagg pair uses link 0 and the bridge link 1.
+    ReplicatedKv::Config kcfg;
+    kcfg.primary = 0;
+    kcfg.replicas = {1};
+    kcfg.placement = "pcie-host";
+    kcfg.value_bytes = kValueBytes;
+    ReplicatedKv kv("svckv", rack, kcfg);
+
+    DisaggMemoryServer::Config scfg;
+    scfg.port = rack.portOf(2, 0);
+    scfg.region_size = 1ull << 20;
+    DisaggMemoryServer srv("svcmem", rack.node(2), rack.network(), scfg);
+    DisaggMemoryClient cli("svcdb", rack.node(3), rack.network(),
+                           rack.portOf(3, 0), srv);
+
+    const Addr window = mem::AddressMap::fpgaDramBase + (128ull << 20);
+    EciBridgeTarget::Config tcfg;
+    tcfg.port = rack.portOf(1, 1);
+    EciBridgeTarget target("svcbt", b, rack.network(), tcfg);
+    eci::DramLineSource fallback(a.fpgaMem(), a.map());
+    EciBridgeSource::Config bcfg;
+    bcfg.port = rack.portOf(0, 1);
+    bcfg.window_base = window;
+    bcfg.window_size = 16ull << 20;
+    EciBridgeSource source("svcbs", a, rack.network(), fallback, target,
+                           bcfg);
+    a.fpgaHome().setLineSource(&source);
+
+    RackRun out;
+    out.values.assign(4, {});
+    // [0] kv puts and remote gets (node 3), [1] local gets (node 1),
+    // [2] disagg client (node 3), [3] bridge (node 0's CPU).
+    std::array<std::vector<Tick>, 4> trace;
+
+    for (std::uint64_t k = 0; k < 4; ++k) {
+        const auto val = patternFor(k);
+        kv.put(3, k, val.data(),
+               [&trace](Tick t) { trace[0].push_back(t); });
+    }
+
+    constexpr std::uint32_t row = 16;
+    std::vector<std::uint8_t> table(256 * row);
+    for (std::uint64_t r = 0; r < 256; ++r)
+        std::memcpy(&table[r * row], &r, 8);
+    cli.write(0, table.data(), table.size(), [&](Tick t) {
+        trace[2].push_back(t);
+        Predicate pred;
+        pred.op = FilterOp::Ge;
+        pred.operand = 250;
+        cli.scanFilter(0, row, 256, pred,
+                       [&](Tick t2, std::vector<std::uint8_t> m,
+                           std::uint64_t) {
+                           trace[2].push_back(t2);
+                           out.values[2] = std::move(m);
+                       });
+    });
+
+    std::vector<std::uint8_t> line(cache::lineSize, 0x3c);
+    b.cpuMem().store().write(0x2000, line.data(), line.size());
+    out.values[3].resize(cache::lineSize);
+    const std::vector<std::uint8_t> wb(cache::lineSize, 0x77);
+    a.cpuRemote().readLine(window + 0x2000, out.values[3].data(),
+                           [&](Tick t) {
+        trace[3].push_back(t);
+        a.cpuRemote().writeLine(window + 0x4000, wb.data(), [&](Tick t2) {
+            trace[3].push_back(t2);
+            a.cpuRemote().flushAll(
+                [&](Tick t3) { trace[3].push_back(t3); });
+        });
+    });
+    rack.run();
+
+    // Gets once every put is durable: remote from node 3, local
+    // through node 1's DMA engine.
+    out.values[0].resize(kValueBytes);
+    out.values[1].resize(kValueBytes);
+    kv.get(3, 2, out.values[0].data(),
+           [&trace](Tick t) { trace[0].push_back(t); });
+    kv.get(1, 3, out.values[1].data(),
+           [&trace](Tick t) { trace[1].push_back(t); });
+    rack.run();
+
+    std::vector<std::uint8_t> landed(cache::lineSize);
+    b.cpuMem().store().read(0x4000, landed.data(), landed.size());
+    EXPECT_EQ(landed, wb);
+    for (const auto &t : trace)
+        out.ticks.insert(out.ticks.end(), t.begin(), t.end());
+    std::ostringstream os;
+    obs::Registry::global().exportJson(os);
+    out.registryJson = os.str();
+    return out;
+}
+
+TEST(ClusterParallel, ServicesByteIdenticalAcrossThreadCounts)
+{
+    const auto r1 = servicesWorkload(1);
+    const auto r4 = servicesWorkload(4);
+    // 4 puts + 2 gets, write + scan, read + write + flush.
+    ASSERT_EQ(r1.ticks.size(), 11u);
+    EXPECT_EQ(r1.ticks, r4.ticks);
+    EXPECT_EQ(r1.registryJson, r4.registryJson);
+    EXPECT_EQ(r1.values, r4.values);
+    EXPECT_EQ(r1.values[0], patternFor(2));
+    EXPECT_EQ(r1.values[1], patternFor(3));
+    ASSERT_EQ(r1.values[2].size(), 6u * 16);
+    std::uint64_t first = 0;
+    std::memcpy(&first, r1.values[2].data(), 8);
+    EXPECT_EQ(first, 250u);
+    EXPECT_EQ(r1.values[3], std::vector<std::uint8_t>(cache::lineSize,
+                                                      0x3c));
 }
 
 TEST(ClusterParallel, LookaheadIsDerivedFromTopology)
@@ -260,16 +380,14 @@ TEST(ClusterRegression, TwoDisaggServersInOneProcess)
     DisaggMemoryServer::Config sa;
     sa.port = rack.portOf(0);
     sa.region_size = 1ull << 20;
-    DisaggMemoryServer srvA("srvA", rack.eventq(), rack.network(),
-                            rack.node(0).fpgaMem(), sa);
+    DisaggMemoryServer srvA("srvA", rack.node(0), rack.network(), sa);
     DisaggMemoryServer::Config sb;
     sb.port = rack.portOf(1);
     sb.region_size = 1ull << 20;
-    DisaggMemoryServer srvB("srvB", rack.eventq(), rack.network(),
-                            rack.node(1).fpgaMem(), sb);
-    DisaggMemoryClient cliA("cliA", rack.eventq(), rack.network(),
+    DisaggMemoryServer srvB("srvB", rack.node(1), rack.network(), sb);
+    DisaggMemoryClient cliA("cliA", rack.node(2), rack.network(),
                             rack.portOf(2), srvA);
-    DisaggMemoryClient cliB("cliB", rack.eventq(), rack.network(),
+    DisaggMemoryClient cliB("cliB", rack.node(3), rack.network(),
                             rack.portOf(3), srvB);
 
     // Interleaved writes to the SAME offsets with different payloads.
@@ -277,14 +395,14 @@ TEST(ClusterRegression, TwoDisaggServersInOneProcess)
     int writes = 0;
     cliA.write(0x1000, da.data(), da.size(), [&](Tick) { ++writes; });
     cliB.write(0x1000, db.data(), db.size(), [&](Tick) { ++writes; });
-    rack.eventq().run();
+    rack.run();
     ASSERT_EQ(writes, 2);
 
     std::vector<std::uint8_t> ra(4096), rb(4096);
     int reads = 0;
     cliA.read(0x1000, ra.data(), ra.size(), [&](Tick) { ++reads; });
     cliB.read(0x1000, rb.data(), rb.size(), [&](Tick) { ++reads; });
-    rack.eventq().run();
+    rack.run();
     ASSERT_EQ(reads, 2);
     EXPECT_EQ(ra, da);
     EXPECT_EQ(rb, db);
@@ -306,12 +424,10 @@ TEST(ClusterRegression, TwoCoherenceBridgesInOneProcess)
 
     EciBridgeTarget::Config ta;
     ta.port = rack.portOf(0, 0);
-    EciBridgeTarget targetA("ta", rack.eventq(), rack.network(),
-                            a.cpuHome(), ta);
+    EciBridgeTarget targetA("ta", a, rack.network(), ta);
     EciBridgeTarget::Config tb;
     tb.port = rack.portOf(1, 0);
-    EciBridgeTarget targetB("tb", rack.eventq(), rack.network(),
-                            b.cpuHome(), tb);
+    EciBridgeTarget targetB("tb", b, rack.network(), tb);
 
     eci::DramLineSource fbA(a.fpgaMem(), a.map());
     eci::DramLineSource fbB(b.fpgaMem(), b.map());
@@ -319,11 +435,9 @@ TEST(ClusterRegression, TwoCoherenceBridgesInOneProcess)
     scfg.window_base = window;
     scfg.window_size = 16ull << 20;
     scfg.port = rack.portOf(0, 1);
-    EciBridgeSource srcOnA("sa", rack.eventq(), rack.network(), fbA,
-                           targetB, scfg);
+    EciBridgeSource srcOnA("sa", a, rack.network(), fbA, targetB, scfg);
     scfg.port = rack.portOf(1, 1);
-    EciBridgeSource srcOnB("sb", rack.eventq(), rack.network(), fbB,
-                           targetA, scfg);
+    EciBridgeSource srcOnB("sb", b, rack.network(), fbB, targetA, scfg);
     a.fpgaHome().setLineSource(&srcOnA);
     b.fpgaHome().setLineSource(&srcOnB);
 
@@ -339,7 +453,7 @@ TEST(ClusterRegression, TwoCoherenceBridgesInOneProcess)
                            [&](Tick) { ++done; });
     b.cpuRemote().readLine(window + 0x2000, fromA,
                            [&](Tick) { ++done; });
-    rack.eventq().run();
+    rack.run();
     ASSERT_EQ(done, 2);
     EXPECT_EQ(std::memcmp(fromB, db.data(), cache::lineSize), 0);
     EXPECT_EQ(std::memcmp(fromA, da.data(), cache::lineSize), 0);
@@ -375,9 +489,8 @@ TEST(ClusterRegressionDeath, OutOfBoundsPredicateIsFatal)
     DisaggMemoryServer::Config scfg;
     scfg.port = rack.portOf(0);
     scfg.region_size = 1ull << 20;
-    DisaggMemoryServer server("srv", rack.eventq(), rack.network(),
-                              rack.node(0).fpgaMem(), scfg);
-    DisaggMemoryClient client("cli", rack.eventq(), rack.network(),
+    DisaggMemoryServer server("srv", rack.node(0), rack.network(), scfg);
+    DisaggMemoryClient client("cli", rack.node(1), rack.network(),
                               rack.portOf(1), server);
     Predicate bad;
     bad.column_offset = 12; // rows are 16 B: would read [12, 20)

@@ -5,11 +5,11 @@
  *
  * The rack is data: a plain-text topology (nodes, ports, per-node
  * cable latencies, service placement) either read from a file or
- * generated uniform. The tool instantiates the cluster — on the
- * legacy shared queue or on a DomainScheduler — places the KV
- * service the topology asks for (or a default one), runs every node
- * through puts plus cross-node gets, and reports the rack's shape,
- * the derived epoch lookahead, and the service counters.
+ * generated uniform. The tool instantiates the cluster on its
+ * DomainScheduler, places the KV service the topology asks for (or a
+ * default one), runs every node through puts plus cross-node gets,
+ * and reports the rack's shape, the derived epoch lookahead, and the
+ * service counters.
  *
  * Run `enzrack --help` for the options.
  */
@@ -39,6 +39,7 @@ struct RackResult
     std::uint64_t localReads = 0;
     std::uint64_t remoteReads = 0;
     Tick lookahead = 0;
+    std::uint32_t threads = 0;
     std::uint64_t epochs = 0;
     std::uint64_t grows = 0;
     std::uint64_t shrinks = 0;
@@ -93,12 +94,12 @@ runRack(const ClusterTopology &topo, std::uint32_t threads,
     res.acks = kv.replicaAcks();
     res.localReads = kv.localReads();
     res.remoteReads = kv.remoteReads();
-    res.lookahead = EnzianCluster::deriveLookahead(cfg, rack.topology());
-    if (sim::DomainScheduler *sched = rack.scheduler()) {
-        res.epochs = sched->epochs();
-        res.grows = sched->adaptiveGrows();
-        res.shrinks = sched->adaptiveShrinks();
-    }
+    const sim::DomainScheduler &sched = *rack.scheduler();
+    res.lookahead = sched.lookahead();
+    res.threads = sched.threads();
+    res.epochs = sched.epochs();
+    res.grows = sched.adaptiveGrows();
+    res.shrinks = sched.adaptiveShrinks();
     std::ostringstream os;
     obs::Registry::global().exportJson(os);
     res.registryJson = os.str();
@@ -123,8 +124,8 @@ main(int argc, char **argv)
         .value("--ports", ports, "N",
                "ports per node for --nodes (default 4)")
         .value("--threads", threads, "N",
-               "parallel timing domains on N threads (0 = legacy "
-               "shared queue; default ENZIAN_THREADS)")
+               "run the timing domains on N threads (0 = 1; "
+               "default ENZIAN_THREADS)")
         .value("--ops", ops, "N", "puts per node (default 4)")
         .flag("--describe", describe,
               "print the canonical topology and exit")
@@ -162,19 +163,16 @@ main(int argc, char **argv)
     }
 
     const auto res = runRack(topo, threads, ops);
-    std::printf("rack '%s': %u nodes, %u switch ports, %s\n",
-                topo.name.c_str(), topo.nodeCount(), topo.totalPorts(),
-                threads ? "parallel timing domains" : "legacy queue");
-    if (threads) {
-        std::printf("  threads: %u, epoch lookahead: %.0f ns "
-                    "(derived from topology)\n",
-                    threads, units::toNanos(res.lookahead));
-        std::printf("  epochs: %llu (%llu grown past the lookahead, "
-                    "%llu shrinks back)\n",
-                    static_cast<unsigned long long>(res.epochs),
-                    static_cast<unsigned long long>(res.grows),
-                    static_cast<unsigned long long>(res.shrinks));
-    }
+    std::printf("rack '%s': %u nodes, %u switch ports, timing domains\n",
+                topo.name.c_str(), topo.nodeCount(), topo.totalPorts());
+    std::printf("  threads: %u, epoch lookahead: %.0f ns "
+                "(derived from topology)\n",
+                res.threads, units::toNanos(res.lookahead));
+    std::printf("  epochs: %llu (%llu grown past the lookahead, "
+                "%llu shrinks back)\n",
+                static_cast<unsigned long long>(res.epochs),
+                static_cast<unsigned long long>(res.grows),
+                static_cast<unsigned long long>(res.shrinks));
     std::printf("  events: %llu\n",
                 static_cast<unsigned long long>(res.events));
     std::printf("  kv: %llu puts (%llu replica acks), %llu gets "
