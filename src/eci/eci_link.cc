@@ -16,7 +16,7 @@ namespace enzian::eci {
 EciLink::EciLink(std::string name, EventQueue &eq, const Config &cfg)
     : SimObject(std::move(name), eq), cfg_(cfg)
 {
-    recomputeBandwidth();
+    setLanes(cfg_.lanes);
     for (std::size_t dir = 0; dir < deliverQ_.size(); ++dir) {
         deliverQ_[dir].ev.init(
             eq, [this, dir] { deliverNext(dir); }, "eci-deliver");
@@ -25,10 +25,10 @@ EciLink::EciLink(std::string name, EventQueue &eq, const Config &cfg)
     stats().addCounter("bytes", &agg_.bytes);
     stats().addCounter("fault_dropped", &agg_.dropped);
     stats().addCounter("fault_corrupted", &agg_.corrupted);
-    stats().addCounter("lane_failures", &laneFails_);
-    stats().addCounter("link_flaps", &flaps_);
-    stats().addCounter("retrains", &retrains_);
-    stats().addCounter("credits_reconciled", &creditsReconciled_);
+    stats().addCounter("lane_failures", &agg_.laneFails);
+    stats().addCounter("link_flaps", &agg_.flaps);
+    stats().addCounter("retrains", &agg_.retrains);
+    stats().addCounter("credits_reconciled", &agg_.creditsReconciled);
     stats().addAccumulator("latency_ns", &agg_.latency);
     stats().addAccumulator("ser_wait_ns", &agg_.serWait);
     stats().addHistogram("latency_hist_ns", &agg_.hist);
@@ -69,13 +69,10 @@ EciLink::bindDomains(sim::DomainScheduler &sched,
                   "direction indexing assumes Cpu=0 / Fpga=1");
     dirBind_.bind(sched, cpu_domain, fpga_domain,
                   minCrossLatency(cfg_));
-    lanes_ = std::make_unique<std::array<sim::ChannelLane<EciMsg>, 2>>();
+    lanes_ = std::make_unique<std::array<sim::ChannelLane<Wire>, 2>>();
     for (std::size_t dir = 0; dir < 2; ++dir) {
         (*lanes_)[dir].attach(dirBind_.channel(dir),
-                              [this](EciMsg &m) {
-                                  handlers_[static_cast<std::size_t>(
-                                      m.dst)](m);
-                              });
+                              [this](Wire &w) { receive(w); });
     }
     sched.addBarrierTask([this] { foldDomainState(); });
 }
@@ -83,24 +80,23 @@ EciLink::bindDomains(sim::DomainScheduler &sched,
 void
 EciLink::TxStats::foldInto(TxStats &agg)
 {
-    agg.msgs.inc(msgs.value());
-    agg.bytes.inc(bytes.value());
-    agg.dropped.inc(dropped.value());
-    agg.corrupted.inc(corrupted.value());
+    for (Counter TxStats::*c :
+         {&TxStats::msgs, &TxStats::bytes, &TxStats::dropped,
+          &TxStats::corrupted, &TxStats::laneFails, &TxStats::flaps,
+          &TxStats::retrains, &TxStats::creditsReconciled}) {
+        (agg.*c).inc((this->*c).value());
+        (this->*c).reset();
+    }
     agg.latency.merge(latency);
     agg.serWait.merge(serWait);
     agg.hist.merge(hist);
-    for (std::size_t vc = 0; vc < vcLatency.size(); ++vc)
-        agg.vcLatency[vc].merge(vcLatency[vc]);
-    msgs.reset();
-    bytes.reset();
-    dropped.reset();
-    corrupted.reset();
     latency.reset();
     serWait.reset();
     hist.reset();
-    for (auto &a : vcLatency)
-        a.reset();
+    for (std::size_t vc = 0; vc < vcLatency.size(); ++vc) {
+        agg.vcLatency[vc].merge(vcLatency[vc]);
+        vcLatency[vc].reset();
+    }
 }
 
 void
@@ -143,18 +139,21 @@ EciLink::flushTaps()
 }
 
 void
-EciLink::recomputeBandwidth()
+EciLink::setSideLanes(std::size_t side, std::uint32_t lanes)
 {
-    if (cfg_.lanes == 0)
+    if (lanes == 0)
         fatal("ECI link '%s': zero lanes", name().c_str());
-    effBw_ = cfg_.lanes * (cfg_.lane_gbps * 1e9 / 8.0) * cfg_.efficiency;
+    side_[side].lanes = lanes;
+    side_[side].effBw =
+        lanes * (cfg_.lane_gbps * 1e9 / 8.0) * cfg_.efficiency;
 }
 
 void
 EciLink::setLanes(std::uint32_t lanes)
 {
     cfg_.lanes = lanes;
-    recomputeBandwidth();
+    setSideLanes(0, lanes);
+    setSideLanes(1, lanes);
 }
 
 void
@@ -171,9 +170,22 @@ EciLink::procLatency(mem::NodeId node) const
 }
 
 Tick
+EciLink::sideNow(std::size_t side) const
+{
+    return domainMode() ? dirBind_.now(side) : now();
+}
+
+EventQueue &
+EciLink::sideQueue(mem::NodeId side)
+{
+    return domainMode() ? dirBind_.clock(static_cast<std::size_t>(side))
+                        : eventq();
+}
+
+Tick
 EciLink::busFreeAt(mem::NodeId src_node) const
 {
-    return busFreeAt_[static_cast<std::size_t>(src_node)].v;
+    return side_[static_cast<std::size_t>(src_node)].busFreeAt;
 }
 
 EciLink::TxTiming
@@ -181,12 +193,12 @@ EciLink::txTiming(Tick tnow, const EciMsg &msg)
 {
     // Sender-side processing, then wait for the serializer, stream the
     // message out, cross the wire, then receiver-side processing.
-    const auto dir = static_cast<std::size_t>(msg.src);
+    Side &tx = side_[static_cast<std::size_t>(msg.src)];
     TxTiming t;
     t.serReady = tnow + procLatency(msg.src);
-    t.start = std::max(t.serReady, busFreeAt_[dir].v);
-    t.stream = units::transferTicks(msg.wireBytes(), effBw_);
-    busFreeAt_[dir].v = t.start + t.stream;
+    t.start = std::max(t.serReady, tx.busFreeAt);
+    t.stream = units::transferTicks(msg.wireBytes(), tx.effBw);
+    tx.busFreeAt = t.start + t.stream;
     t.delivery = t.start + t.stream + units::ns(cfg_.wire_latency_ns) +
                  procLatency(msg.dst);
     return t;
@@ -252,7 +264,9 @@ EciLink::send(const EciMsg &msg)
         // The message rides the direction's slot arena: no
         // per-message allocation, and the barrier drain stays
         // cache-linear over the channel's entry stream.
-        (*lanes_)[dir].push(t.delivery, msg);
+        Wire &w = (*lanes_)[dir].push(t.delivery);
+        w.msg = msg;
+        w.sentAt = tnow;
         return t.delivery;
     }
     // One-shot delivery: loopback in domain mode stays inside the
@@ -281,10 +295,11 @@ EciLink::sendFaulted(Tick tnow, const EciMsg &msg, FaultAction act)
     TxStats &s = txStats(dir);
     s.msgs.inc();
     s.bytes.inc(msg.wireBytes());
+    Side &tx = side_[dir];
     const Tick ser_ready = tnow + procLatency(msg.src);
-    const Tick start = std::max(ser_ready, busFreeAt_[dir].v);
-    const Tick stream = units::transferTicks(msg.wireBytes(), effBw_);
-    busFreeAt_[dir].v = start + stream;
+    const Tick start = std::max(ser_ready, tx.busFreeAt);
+    const Tick stream = units::transferTicks(msg.wireBytes(), tx.effBw);
+    tx.busFreeAt = start + stream;
     if (act == FaultAction::Drop) {
         s.dropped.inc();
         ENZIAN_SPAN(name(), "fault-drop", start, start + stream);
@@ -296,52 +311,71 @@ EciLink::sendFaulted(Tick tnow, const EciMsg &msg, FaultAction act)
 }
 
 void
-EciLink::failLanes(std::uint32_t n)
+EciLink::failLanes(mem::NodeId side, std::uint32_t n)
 {
-    laneFails_.inc();
-    const std::uint32_t survivors = cfg_.lanes > n ? cfg_.lanes - n : 1;
-    logWarn("lane failure: %u lane(s) down, retraining to %u lanes", n,
-            survivors);
-    setLanes(survivors);
-    beginRetrain(units::ns(cfg_.retrain_ns));
+    const auto s = static_cast<std::size_t>(side);
+    if (side == mem::NodeId::Cpu)
+        txStats(s).laneFails.inc();
+    const std::uint32_t lanes = side_[s].lanes;
+    const std::uint32_t survivors = lanes > n ? lanes - n : 1;
+    warn("%s (%s side): %u lane(s) down, retraining to %u lanes",
+         name().c_str(), mem::toString(side), n, survivors);
+    setSideLanes(s, survivors);
+    beginRetrain(s, units::ns(cfg_.retrain_ns));
 }
 
 void
-EciLink::restoreLanes(std::uint32_t lanes)
+EciLink::restoreLanes(mem::NodeId side, std::uint32_t lanes)
 {
-    logInfo("restoring link to %u lanes", lanes);
-    setLanes(lanes);
-    beginRetrain(units::ns(cfg_.retrain_ns));
+    const auto s = static_cast<std::size_t>(side);
+    setSideLanes(s, lanes);
+    beginRetrain(s, units::ns(cfg_.retrain_ns));
 }
 
 void
-EciLink::flap(Tick down_time)
+EciLink::flap(mem::NodeId side, Tick down_time)
 {
-    flaps_.inc();
-    // Everything in flight is lost; the credit machinery reconciles
-    // (the agents' retry timers re-issue the requests).
-    std::uint64_t lost = 0;
-    for (auto &q : deliverQ_) {
-        lost += q.fifo.size();
+    const auto s = static_cast<std::size_t>(side);
+    TxStats &st = txStats(s);
+    if (side == mem::NodeId::Cpu)
+        st.flaps.inc();
+    // Everything in flight toward this side is lost; the agents'
+    // retry timers re-issue the requests.
+    if (domainMode()) {
+        side_[s].lostBefore = sideNow(s);
+    } else {
+        DeliveryQueue &q = deliverQ_[s ^ 1];
+        st.creditsReconciled.inc(q.fifo.size());
         q.fifo.clear();
         q.ev.cancel();
     }
-    creditsReconciled_.inc(lost);
-    logWarn("link flap: down %.1f us, %llu message(s) lost",
-            units::toNanos(down_time) / 1e3,
-            static_cast<unsigned long long>(lost));
-    beginRetrain(down_time + units::ns(cfg_.retrain_ns));
+    warn("%s (%s side): link flap, down %.1f us", name().c_str(),
+         mem::toString(side), units::toNanos(down_time) / 1e3);
+    beginRetrain(s, down_time + units::ns(cfg_.retrain_ns));
 }
 
 void
-EciLink::beginRetrain(Tick duration)
+EciLink::beginRetrain(std::size_t side, Tick duration)
 {
-    retrains_.inc();
-    retrainEndsAt_ = std::max(retrainEndsAt_, now() + duration);
+    if (side == 0)
+        txStats(side).retrains.inc();
+    Side &tx = side_[side];
+    const Tick tnow = sideNow(side);
+    tx.retrainEndsAt = std::max(tx.retrainEndsAt, tnow + duration);
     // No traffic serializes until the lanes are aligned again.
-    for (auto &free_at : busFreeAt_)
-        free_at.v = std::max(free_at.v, retrainEndsAt_);
-    ENZIAN_SPAN(name(), "retrain", now(), retrainEndsAt_);
+    tx.busFreeAt = std::max(tx.busFreeAt, tx.retrainEndsAt);
+    ENZIAN_SPAN(name(), "retrain", tnow, tx.retrainEndsAt);
+}
+
+void
+EciLink::receive(const Wire &w)
+{
+    const auto to = static_cast<std::size_t>(w.msg.dst);
+    if (w.sentAt < side_[to].lostBefore) {
+        txStats(to).creditsReconciled.inc();
+        return;
+    }
+    handlers_[to](w.msg);
 }
 
 void

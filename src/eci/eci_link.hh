@@ -87,7 +87,6 @@ class EciLink : public SimObject
      * the scheduler's channels, and per-direction staged statistics
      * and trace taps are folded/flushed deterministically at every
      * epoch barrier. Must be called before the scheduler starts.
-     * Lane-failure/flap/retrain APIs are not supported in this mode.
      */
     void bindDomains(sim::DomainScheduler &sched,
                      sim::TimingDomain &cpu_domain,
@@ -134,33 +133,61 @@ class EciLink : public SimObject
      */
     Tick send(const EciMsg &msg);
 
-    /** Effective per-direction bandwidth in bytes/s. */
-    double effectiveBandwidth() const { return effBw_; }
+    /**
+     * Effective bandwidth in bytes/s of the direction @p src sends;
+     * the two directions differ only while a lane fault derates one.
+     */
+    double effectiveBandwidth(mem::NodeId src = mem::NodeId::Cpu) const
+    {
+        return side_[static_cast<std::size_t>(src)].effBw;
+    }
 
-    /** Change the active lane count (BDK dial-up/down). */
+    /** Change the active lane count of both sides (BDK dial-up/down). */
     void setLanes(std::uint32_t lanes);
 
     /**
-     * Fail @p n lanes: the link retrains, then runs derated on the
-     * surviving lanes (never below one). Bandwidth degrades
-     * proportionally, preserving the Fig 6 curve shape.
+     * A link fault is applied per side, each half in that side's
+     * domain (sideQueue()), so it touches only state the side owns:
+     * its transmit direction and the arrivals it receives. A
+     * whole-link fault applies the same call to both sides at the
+     * same tick; link-level counters (lane failures, flaps, retrains)
+     * count the CPU side's half only, so each event counts once.
+     *
+     * failLanes: @p n lanes fail; the side's transmitter retrains,
+     * then runs derated on the surviving lanes (never below one).
+     * Bandwidth degrades proportionally, preserving the Fig 6 curve
+     * shape.
      */
-    void failLanes(std::uint32_t n);
+    void failLanes(mem::NodeId side, std::uint32_t n);
 
-    /** Bring the link back to @p lanes lanes (retrains first). */
-    void restoreLanes(std::uint32_t lanes);
+    /** Bring @p side back to @p lanes lanes (retrains first). */
+    void restoreLanes(mem::NodeId side, std::uint32_t lanes);
 
     /**
-     * Link flap: the link is down for @p down_time, in-flight messages
-     * in both directions are lost (credits reconciled), then the link
-     * retrains before carrying traffic again.
+     * Link flap at @p side: its transmitter is down for @p down_time
+     * and then retrains; messages in flight toward @p side are lost
+     * (credits reconciled). On a single queue the loss is counted at
+     * once; in domain mode arrivals still crossing the scheduler are
+     * not visible yet, so each is judged on delivery by its send tick
+     * and counted then.
      */
-    void flap(Tick down_time);
+    void flap(mem::NodeId side, Tick down_time);
 
-    /** True while a retrain blocks the serializers. */
-    bool retraining() const { return retrainEndsAt_ > now(); }
+    /** Queue @p side's half of a link fault must run on. */
+    EventQueue &sideQueue(mem::NodeId side);
 
-    std::uint32_t lanes() const { return cfg_.lanes; }
+    /** True while a retrain blocks @p side's serializer. */
+    bool retraining(mem::NodeId side) const
+    {
+        const auto s = static_cast<std::size_t>(side);
+        return side_[s].retrainEndsAt > sideNow(s);
+    }
+
+    /** Active lanes as seen by @p side. */
+    std::uint32_t lanes(mem::NodeId side = mem::NodeId::Cpu) const
+    {
+        return side_[static_cast<std::size_t>(side)].lanes;
+    }
 
     std::uint64_t messagesSent() const { return agg_.msgs.value(); }
     std::uint64_t bytesSent() const { return agg_.bytes.value(); }
@@ -172,13 +199,13 @@ class EciLink : public SimObject
     {
         return agg_.corrupted.value();
     }
-    std::uint64_t laneFailures() const { return laneFails_.value(); }
-    std::uint64_t linkFlaps() const { return flaps_.value(); }
-    std::uint64_t retrains() const { return retrains_.value(); }
+    std::uint64_t laneFailures() const { return agg_.laneFails.value(); }
+    std::uint64_t linkFlaps() const { return agg_.flaps.value(); }
+    std::uint64_t retrains() const { return agg_.retrains.value(); }
     /** Messages lost in flight during flaps (credit reconciliation). */
     std::uint64_t creditsReconciled() const
     {
-        return creditsReconciled_.value();
+        return agg_.creditsReconciled.value();
     }
     /** Tick the given direction's serializer frees up. */
     Tick busFreeAt(mem::NodeId src_node) const;
@@ -202,12 +229,13 @@ class EciLink : public SimObject
     };
 
     /**
-     * Per-direction transmission statistics. In single-queue mode
-     * every send samples agg_ directly; in domain mode each direction
-     * samples its own stage (touched only by the source domain's
-     * thread) and the stages fold into agg_ at every epoch barrier,
-     * direction 0 first — a fixed order, so the folded values are
-     * bit-identical for any thread count.
+     * Per-side statistics: what the side sends, plus the link faults
+     * its half applies and the flap losses it receives. In
+     * single-queue mode every update goes to agg_ directly; in domain
+     * mode each side updates its own stage (touched only by that
+     * side's domain thread) and the stages fold into agg_ at every
+     * epoch barrier, side 0 first — a fixed order, so the folded
+     * values are bit-identical for any thread count.
      */
     struct TxStats
     {
@@ -215,6 +243,10 @@ class EciLink : public SimObject
         Counter bytes;
         Counter dropped;
         Counter corrupted;
+        Counter laneFails;
+        Counter flaps;
+        Counter retrains;
+        Counter creditsReconciled;
         Accumulator latency;
         Accumulator serWait;
         Histogram hist;
@@ -224,11 +256,20 @@ class EciLink : public SimObject
         void foldInto(TxStats &agg);
     };
 
-    void recomputeBandwidth();
+    /** A message crossing domains, stamped with its send tick. */
+    struct Wire
+    {
+        EciMsg msg;
+        Tick sentAt = 0;
+    };
+
+    void setSideLanes(std::size_t side, std::uint32_t lanes);
     Tick procLatency(mem::NodeId node) const;
+    Tick sideNow(std::size_t side) const;
     void deliverNext(std::size_t dir);
+    void receive(const Wire &w);
     Tick sendFaulted(Tick tnow, const EciMsg &msg, FaultAction act);
-    void beginRetrain(Tick duration);
+    void beginRetrain(std::size_t side, Tick duration);
     TxTiming txTiming(Tick tnow, const EciMsg &msg);
     void recordTx(std::size_t dir, Tick tnow, const EciMsg &msg,
                   const TxTiming &t);
@@ -251,28 +292,33 @@ class EciLink : public SimObject
         Event ev;
     };
 
-    /** Cache-line-isolated per-direction serializer occupancy, so
-     *  two domain threads sending concurrently don't false-share. */
-    struct alignas(64) DirTick
+    /**
+     * State one side owns: its transmit direction's serializer,
+     * lanes and retrain clock, and its receive-side flap mark.
+     * Cache-line isolated, so two domain threads don't false-share.
+     */
+    struct alignas(64) Side
     {
-        Tick v = 0;
+        /** Tick the transmit serializer frees up. */
+        Tick busFreeAt = 0;
+        /** Transmit bandwidth on the active lanes (bytes/s). */
+        double effBw = 0;
+        std::uint32_t lanes = 0;
+        /** Tick the transmitter's current retrain (if any) ends. */
+        Tick retrainEndsAt = 0;
+        /** Domain mode: arrivals sent before this tick were in
+         *  flight during a flap here and are lost. */
+        Tick lostBefore = 0;
     };
 
     Config cfg_;
-    double effBw_ = 0;
-    /** Serializer occupancy per direction, indexed by source node. */
-    std::array<DirTick, 2> busFreeAt_;
+    /** Indexed by node: side d transmits direction d. */
+    std::array<Side, 2> side_;
     std::array<Handler, 2> handlers_;
     std::array<DeliveryQueue, 2> deliverQ_;
     std::vector<Tap> taps_; ///< fire in attach order
     FaultFilter fault_;
-    /** Tick the current retrain (if any) completes. */
-    Tick retrainEndsAt_ = 0;
-    Counter laneFails_;
-    Counter flaps_;
-    Counter retrains_;
-    Counter creditsReconciled_;
-    /** Aggregate tx statistics (the registered/reported view). */
+    /** Aggregate statistics (the registered/reported view). */
     TxStats agg_;
 
     // --- parallel domain mode state (null/empty in legacy mode) ----
@@ -281,10 +327,10 @@ class EciLink : public SimObject
     /** Per-direction source clock + outbound mailbox (by msg.src),
      *  bound with this link's own latency floor as pair lookahead. */
     sim::DirDomainBinding dirBind_;
-    /** Per-direction EciMsg slot arenas: cross-domain deliveries ride
-     *  the channel's SoA entry stream with zero per-message
+    /** Per-direction message slot arenas: cross-domain deliveries
+     *  ride the channel's SoA entry stream with zero per-message
      *  allocation (see ChannelLane). */
-    std::unique_ptr<std::array<sim::ChannelLane<EciMsg>, 2>> lanes_;
+    std::unique_ptr<std::array<sim::ChannelLane<Wire>, 2>> lanes_;
     /** Per-direction buffered tap events, flushed at barriers. */
     std::array<std::vector<std::pair<Tick, EciMsg>>, 2> tapStage_;
 };

@@ -5,12 +5,12 @@
 
 #include "fault/chaos_scenario.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <sstream>
-#include <unordered_map>
 
-#include "base/logging.hh"
 #include "base/rng.hh"
 #include "fault/fault_injector.hh"
 #include "net/rdma_engine.hh"
@@ -47,26 +47,12 @@ struct Pool
     Addr lineAt(std::uint32_t i) const { return base + i * lineBytes; }
 };
 
-/**
- * The shared scenario body. @p par switches on parallel domain mode:
- * the machine is sharded, FPGA-side traffic and its completions cross
- * through the scheduler's mailboxes, and the verification sweep keeps
- * per-domain accumulators merged in fixed order afterwards. The
- * legacy (par == false) path is byte-for-byte the classic scenario.
- */
+} // namespace
+
 ChaosResult
-runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
-             std::uint32_t threads, bool par)
+runChaos(const FaultPlan &plan, const ChaosConfig &cfg)
 {
     ChaosResult result;
-    ChaosConfig cfg = cfg_in;
-    if (par) {
-        // Side traffic drives FPGA DRAM / the BMC from CPU-domain
-        // events; not domain-safe, so parallel runs shed it.
-        cfg.with_net = false;
-        cfg.with_rdma = false;
-        cfg.with_bmc = false;
-    }
 
     platform::EnzianMachine::Config mc;
     mc.cpu_dram_bytes = 64ull << 20;
@@ -74,20 +60,17 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
     mc.cores = 4;
     mc.protocol = cfg.protocol;
     mc.name = "chaos";
-    mc.threads = par ? std::max(threads, 1u) : 0;
+    mc.threads = std::max(cfg.threads, 1u);
     platform::EnzianMachine m(mc);
     EventQueue &eq = m.eventq();
     EventQueue &feq = m.fpgaEventq();
 
-    sim::DomainScheduler *sched = m.scheduler();
-    sim::CrossDomainChannel *toFpga = nullptr;
-    sim::CrossDomainChannel *toCpu = nullptr;
-    Tick cross = 0;
-    if (par) {
-        toFpga = &sched->channel(sched->domain(0), sched->domain(1));
-        toCpu = &sched->channel(sched->domain(1), sched->domain(0));
-        cross = sched->lookahead();
-    }
+    sim::DomainScheduler &sched = *m.scheduler();
+    sim::CrossDomainChannel &toFpga =
+        sched.channel(*m.cpuDomain(), *m.fpgaDomain());
+    sim::CrossDomainChannel &toCpu =
+        sched.channel(*m.fpgaDomain(), *m.cpuDomain());
+    const Tick cross = sched.lookahead();
 
     verif::InvariantMonitor::Hooks hooks;
     hooks.cpuCache = &m.l2();
@@ -107,21 +90,22 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
         monitor.setRetryTolerant(true);
     }
 
-    // Optional network side traffic: a TCP pair through a 4-port
-    // switch, plus an RDMA initiator/target against FPGA DRAM.
+    // Optional network side traffic on the FPGA domain: a TCP pair
+    // through a 4-port switch, plus an RDMA initiator/target against
+    // FPGA DRAM.
     std::unique_ptr<net::Switch> sw;
     std::unique_ptr<net::TcpStack> tcpA, tcpB;
     std::unique_ptr<net::DirectDramPath> rdmaPath;
     std::unique_ptr<net::RdmaTarget> rdmaTgt;
     std::unique_ptr<net::RdmaInitiator> rdmaIni;
     if (cfg.with_net || cfg.with_rdma) {
-        sw = std::make_unique<net::Switch>("chaos.sw", eq, 4,
+        sw = std::make_unique<net::Switch>("chaos.sw", feq, 4,
                                            net::Switch::Config{});
     }
     if (cfg.with_net) {
-        tcpA = std::make_unique<net::TcpStack>("chaos.tcp0", eq, *sw,
+        tcpA = std::make_unique<net::TcpStack>("chaos.tcp0", feq, *sw,
                                                net::hostTcpConfig(0));
-        tcpB = std::make_unique<net::TcpStack>("chaos.tcp1", eq, *sw,
+        tcpB = std::make_unique<net::TcpStack>("chaos.tcp1", feq, *sw,
                                                net::hostTcpConfig(1));
         inj.attachNet(*tcpA, *tcpB); // before connect()
     }
@@ -130,16 +114,15 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
         net::RdmaTarget::Config tc;
         tc.port = 3;
         rdmaTgt = std::make_unique<net::RdmaTarget>("chaos.rdma.tgt",
-                                                    eq, *sw, *rdmaPath,
+                                                    feq, *sw, *rdmaPath,
                                                     tc);
         rdmaIni = std::make_unique<net::RdmaInitiator>("chaos.rdma.ini",
-                                                       eq, *sw, 2, 3);
+                                                       feq, *sw, 2, 3);
         inj.attachRdma(*rdmaIni, *rdmaTgt);
     }
     if (cfg.with_bmc)
         inj.attachBmc(m.bmc());
-    if (par)
-        inj.bindDomains(*sched);
+    inj.bindDomains(sched, *m.cpuDomain(), *m.fpgaDomain());
     inj.arm();
 
     // Three pools, each with exactly one writer so the last issued
@@ -174,10 +157,23 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
         return -1;
     };
 
+    // FPGA-side work hops into the FPGA domain @p delay from now, and
+    // its completion runs @p done back on the CPU domain, so pool
+    // bookkeeping and every accumulator stay CPU-local. Both hops
+    // respect the channels' lookahead floor.
+    using Done = std::function<void(Tick)>;
+    auto viaFpga = [&](Tick delay, std::function<void(Done)> op,
+                       std::function<void()> done) {
+        toFpga.push(eq.now() + delay, [&toCpu, &feq, cross,
+                                       op = std::move(op),
+                                       done = std::move(done)]() {
+            op([&toCpu, &feq, cross, done](Tick) {
+                toCpu.push(feq.now() + cross, done);
+            });
+        });
+    };
+
     const Tick gap = units::ns(350.0);
-    // Parallel mode: FPGA-side issues hop into the FPGA domain, and
-    // their completions hop back, so pool bookkeeping stays CPU-local.
-    // Both hops must respect the channels' lookahead floor.
     const Tick hop = std::max(gap, cross);
 
     auto issueWrite = [&](Pool &p, std::uint32_t i, int role) {
@@ -186,39 +182,31 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
         const std::uint32_t v = ++p.version[i];
         auto buf = std::make_shared<std::vector<std::uint8_t>>(lineBytes);
         fillPattern(buf->data(), line, v);
-        if (par && role != 0) {
-            auto done = [&p, i, &completed, buf, toCpu, &feq,
-                         cross](Tick) {
-                toCpu->push(feq.now() + cross,
-                            [&p, i, &completed]() {
-                                p.inflight[i] = false;
-                                ++completed;
-                            });
-            };
-            if (role == 1) {
-                toFpga->push(eq.now() + hop, [&m, line, buf, done]() {
-                    m.fpgaHome().localWrite(line, buf->data(), done);
-                });
-            } else {
-                toFpga->push(eq.now() + hop, [&m, line, buf, done]() {
-                    m.fpgaRemote().writeLineUncached(line, buf->data(),
-                                                     done);
-                });
-            }
-            ++issued;
-            return;
-        }
-        auto done = [&p, i, &completed, buf](Tick) {
+        // Holds the buffer until the write completes.
+        auto finish = [&p, i, &completed, buf]() {
             p.inflight[i] = false;
             ++completed;
         };
-        if (role == 0)
-            m.cpuRemote().writeLine(line, buf->data(), done);
-        else if (role == 1)
-            m.fpgaHome().localWrite(line, buf->data(), done);
-        else
-            m.fpgaRemote().writeLineUncached(line, buf->data(), done);
         ++issued;
+        if (role == 0) {
+            m.cpuRemote().writeLine(line, buf->data(),
+                                    [finish](Tick) { finish(); });
+        } else if (role == 1) {
+            viaFpga(
+                hop,
+                [&m, line, buf](Done d) {
+                    m.fpgaHome().localWrite(line, buf->data(), d);
+                },
+                finish);
+        } else {
+            viaFpga(
+                hop,
+                [&m, line, buf](Done d) {
+                    m.fpgaRemote().writeLineUncached(line, buf->data(),
+                                                     d);
+                },
+                finish);
+        }
     };
 
     auto issueRead = [&](Pool &p, std::uint32_t i, int role) {
@@ -236,38 +224,28 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
         ++issued;
     };
 
+    // The six traffic kinds, drawn uniformly: each pool's write by
+    // its writer, reads of A and B by the CPU remote agent, and reads
+    // of C at its home.
+    struct Kind
+    {
+        Pool *pool;
+        bool write;
+        int role;
+    };
+    const Kind kinds[] = {{&poolA, true, 0},  {&poolB, true, 1},
+                          {&poolC, true, 2},  {&poolA, false, 0},
+                          {&poolB, false, 0}, {&poolC, false, 1}};
     std::function<void(std::uint32_t)> step =
         [&](std::uint32_t remaining) {
             if (remaining == 0)
                 return;
-            const auto r = traffic.below(6);
-            int i = -1;
-            switch (r) {
-              case 0:
-                if ((i = pickFree(poolA)) >= 0)
-                    issueWrite(poolA, i, 0);
-                break;
-              case 1:
-                if ((i = pickFree(poolB)) >= 0)
-                    issueWrite(poolB, i, 1);
-                break;
-              case 2:
-                if ((i = pickFree(poolC)) >= 0)
-                    issueWrite(poolC, i, 2);
-                break;
-              case 3:
-                if ((i = pickFree(poolA)) >= 0)
-                    issueRead(poolA, i, 0);
-                break;
-              case 4:
-                if ((i = pickFree(poolB)) >= 0)
-                    issueRead(poolB, i, 0);
-                break;
-              default:
-                if ((i = pickFree(poolC)) >= 0)
-                    issueRead(poolC, i, 1);
-                break;
-            }
+            const Kind &k = kinds[traffic.below(6)];
+            const int i = pickFree(*k.pool);
+            if (i >= 0 && k.write)
+                issueWrite(*k.pool, i, k.role);
+            else if (i >= 0)
+                issueRead(*k.pool, i, k.role);
             eq.scheduleDelta(gap,
                              [&step, remaining]() { step(remaining - 1); },
                              "chaos-step");
@@ -286,21 +264,22 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
         for (std::uint32_t j = 0; j < tcpJobs; ++j) {
             const std::uint64_t bytes = 16 * 1024 + j * 4096;
             tcpBytes += bytes;
-            eq.schedule(units::us(2.0 + 5.0 * j),
-                        [&tcpA, &tcpJobsDone, tcpFlow, bytes]() {
-                            tcpA->send(tcpFlow, bytes,
-                                       [&tcpJobsDone](Tick) {
-                                           ++tcpJobsDone;
-                                       });
-                        },
-                        "chaos-tcp-send");
+            feq.schedule(units::us(2.0 + 5.0 * j),
+                         [&tcpA, &tcpJobsDone, tcpFlow, bytes]() {
+                             tcpA->send(tcpFlow, bytes,
+                                        [&tcpJobsDone](Tick) {
+                                            ++tcpJobsDone;
+                                        });
+                         },
+                         "chaos-tcp-send");
         }
     }
 
     // RDMA side traffic: write buffers into FPGA DRAM (offsets far
-    // above the coherent pools), read them back, compare.
+    // above the coherent pools), read them back, compare. Runs wholly
+    // on the FPGA domain, so it keeps its own mismatch list.
     std::uint32_t rdmaJobs = 0, rdmaJobsDone = 0;
-    std::vector<std::shared_ptr<std::vector<std::uint8_t>>> rdmaBufs;
+    std::vector<std::string> rdmaMismatches;
     if (cfg.with_rdma) {
         rdmaJobs = 4;
         const std::uint64_t len = 4096;
@@ -312,26 +291,25 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
                 len, std::uint8_t(0));
             for (std::uint64_t b = 0; b < len; ++b)
                 (*src)[b] = static_cast<std::uint8_t>(b * 31 + j);
-            rdmaBufs.push_back(src);
-            rdmaBufs.push_back(dst);
-            eq.schedule(
+            feq.schedule(
                 units::us(3.0 + 7.0 * j),
-                [&rdmaIni, &rdmaJobsDone, &mismatches, off, len, src,
-                 dst]() {
+                [&rdmaIni, &rdmaJobsDone, &rdmaMismatches, off, len,
+                 src, dst]() {
                     rdmaIni->write(
                         off, src->data(), len,
-                        [&rdmaIni, &rdmaJobsDone, &mismatches, off,
+                        [&rdmaIni, &rdmaJobsDone, &rdmaMismatches, off,
                          len, src, dst](Tick) {
                             rdmaIni->read(
                                 off, dst->data(), len,
-                                [&rdmaJobsDone, &mismatches, off, src,
-                                 dst](Tick) {
+                                [&rdmaJobsDone, &rdmaMismatches, off,
+                                 src, dst](Tick) {
                                     if (*src != *dst) {
                                         std::ostringstream os;
                                         os << "rdma data mismatch at "
                                               "offset 0x"
                                            << std::hex << off;
-                                        mismatches.push_back(os.str());
+                                        rdmaMismatches.push_back(
+                                            os.str());
                                     }
                                     ++rdmaJobsDone;
                                 });
@@ -342,52 +320,51 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
     }
 
     m.run();
+    mismatches.insert(mismatches.end(), rdmaMismatches.begin(),
+                      rdmaMismatches.end());
 
     // Quiescent data-integrity sweep: every line a write was acked on
     // must read back the last issued pattern through its home agent
     // (which snoops any cached copy, so this sees the coherent truth).
-    // In parallel mode the FPGA-homed reads complete on the FPGA
-    // domain, so they get their own accumulators, merged after the
-    // run in fixed order (CPU first) for thread-count determinism.
     std::uint32_t checksLeft = 0;
-    std::uint32_t fpgaChecksLeft = 0;
-    std::vector<std::string> fpgaMismatches;
     auto verifyPool = [&](Pool &p, bool fpga_homed) {
         for (std::uint32_t i = 0; i < cfg.lines; ++i) {
             if (p.version[i] == 0)
                 continue;
-            const bool onFpga = fpga_homed && par;
-            auto &mis = onFpga ? fpgaMismatches : mismatches;
-            auto &left = onFpga ? fpgaChecksLeft : checksLeft;
-            ++left;
+            ++checksLeft;
             const Addr line = p.lineAt(i);
             const std::uint32_t v = p.version[i];
             auto got =
                 std::make_shared<std::vector<std::uint8_t>>(lineBytes);
-            auto done = [&mis, &left, line, v, got](Tick) {
+            auto check = [&mismatches, &checksLeft, line, v, got]() {
                 std::uint8_t want[lineBytes];
                 fillPattern(want, line, v);
                 if (std::memcmp(want, got->data(), lineBytes) != 0) {
                     std::ostringstream os;
                     os << "data mismatch at line 0x" << std::hex << line
                        << std::dec << " (version " << v << ")";
-                    mis.push_back(os.str());
+                    mismatches.push_back(os.str());
                 }
-                --left;
+                --checksLeft;
             };
-            if (fpga_homed)
-                m.fpgaHome().localRead(line, got->data(), done);
-            else
-                m.cpuHome().localRead(line, got->data(), done);
+            if (fpga_homed) {
+                viaFpga(
+                    cross,
+                    [&m, line, got](Done d) {
+                        m.fpgaHome().localRead(line, got->data(), d);
+                    },
+                    check);
+            } else {
+                m.cpuHome().localRead(line, got->data(),
+                                      [check](Tick) { check(); });
+            }
         }
     };
     verifyPool(poolA, true);
     verifyPool(poolB, true);
     verifyPool(poolC, false);
     m.run();
-    mismatches.insert(mismatches.end(), fpgaMismatches.begin(),
-                      fpgaMismatches.end());
-    if (checksLeft + fpgaChecksLeft != 0)
+    if (checksLeft != 0)
         mismatches.push_back("verification reads did not all complete");
 
     bool flushed = false;
@@ -428,35 +405,6 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
     }
     result.ok = result.violations.empty();
     return result;
-}
-
-} // namespace
-
-ChaosResult
-runChaos(const FaultPlan &plan, const ChaosConfig &cfg)
-{
-    return runChaosImpl(plan, cfg, 0, false);
-}
-
-bool
-planParallelSafe(const FaultPlan &plan)
-{
-    for (const auto &s : plan.faults) {
-        if (!FaultInjector::kindDomainSafe(s.kind))
-            return false;
-    }
-    return true;
-}
-
-ChaosResult
-runChaosParallel(const FaultPlan &plan, const ChaosConfig &cfg,
-                 std::uint32_t threads)
-{
-    if (!planParallelSafe(plan)) {
-        fatal("runChaosParallel: plan contains fault kinds that are "
-              "not domain-safe (only ECI msg drop/corrupt are)");
-    }
-    return runChaosImpl(plan, cfg, threads, true);
 }
 
 } // namespace enzian::fault

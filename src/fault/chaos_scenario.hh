@@ -6,9 +6,18 @@
  * writes that force invalidations, uncached remote stores) plus
  * optional TCP and RDMA side traffic against a machine with a
  * FaultInjector armed and the coherence invariant monitor attached.
- * After the event queue drains, every acked write is read back through
+ * After the simulation drains, every acked write is read back through
  * the line's home agent and compared byte-for-byte, the caches are
  * flushed, and the monitor's machine-wide invariants are checked.
+ *
+ * The machine always runs as CPU and FPGA timing domains under the
+ * domain scheduler, so the result — registry JSON included — is
+ * bit-identical for every thread count. The traffic driver and all
+ * bookkeeping live on the CPU domain; FPGA-side pool ops and
+ * verification reads hop into the FPGA domain through the
+ * scheduler's channel pair and their completions hop back. The
+ * switch, both TCP stacks and the RDMA pair live on the FPGA domain,
+ * where Enzian's 100G ports are.
  *
  * Shared by the chaos soak test (tests/test_fault_chaos.cc) and the
  * enzchaos CLI.
@@ -40,6 +49,8 @@ struct ChaosConfig
     bool with_rdma = true;
     /** Attach the BMC for rail glitches (slow: ~100 ms sim time). */
     bool with_bmc = false;
+    /** Scheduler threads (0 runs like 1: the domains in sequence). */
+    std::uint32_t threads = 0;
     /**
      * Coherence protocol the machine under chaos runs (any name from
      * eci::proto::allProtocols()); unknown names are fatal.
@@ -67,26 +78,6 @@ struct ChaosResult
 
 /** Run one chaos scenario to completion. */
 ChaosResult runChaos(const FaultPlan &plan, const ChaosConfig &cfg);
-
-/**
- * True when every fault in @p plan injects without touching state
- * shared across timing domains (ECI message drop/corrupt only);
- * required by runChaosParallel().
- */
-bool planParallelSafe(const FaultPlan &plan);
-
-/**
- * Run the chaos scenario on a machine sharded into parallel timing
- * domains (threads >= 1; 1 runs the same domain semantics
- * sequentially). FPGA-side traffic crosses into the FPGA domain
- * through the scheduler's mailboxes, and side traffic (net/rdma/bmc)
- * is forced off because it drives FPGA DRAM from the CPU domain. The
- * result — including the captured registry JSON — is bit-identical
- * for every thread count.
- */
-ChaosResult runChaosParallel(const FaultPlan &plan,
-                             const ChaosConfig &cfg,
-                             std::uint32_t threads);
 
 } // namespace enzian::fault
 

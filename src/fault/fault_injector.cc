@@ -38,13 +38,22 @@ const char *const cpuRails[] = {"VDD_CORE", "VDD_09", "P1V8_CPU",
 const char *const fpgaRails[] = {"VCCINT", "VCCAUX", "MGTAVCC",
                                  "VDD_DDR_F"};
 
+/** Open (@p on) or close a window adding @p p to @p slot. */
+void
+openWindow(double &slot, double p, bool on)
+{
+    slot = on ? slot + p : std::max(0.0, slot - p);
+}
+
 } // namespace
 
 FaultInjector::FaultInjector(std::string name, EventQueue &eq,
                              const FaultPlan &plan)
     : SimObject(std::move(name), eq), plan_(plan),
-      eciRng_(streamSeed(plan.seed, 1)),
-      dramRng_(streamSeed(plan.seed, 2)),
+      eciRng_{Rng(streamSeed(plan.seed, 16)),
+              Rng(streamSeed(plan.seed, 17))},
+      dramRng_{Rng(streamSeed(plan.seed, 2)),
+               Rng(streamSeed(plan.seed, 18))},
       netRng_(streamSeed(plan.seed, 3)),
       rdmaRng_(streamSeed(plan.seed, 4)),
       bmcRng_(streamSeed(plan.seed, 5))
@@ -108,19 +117,14 @@ FaultInjector::eciFilter(Tick t, const eci::EciMsg &msg)
     // IPIs have no retry path, so loss injection exempts them.
     if (msg.op == eci::Opcode::IPI)
         return eci::EciLink::FaultAction::Deliver;
-    // In domain mode the filter runs concurrently from both domains;
-    // each draws only from its own direction's stream and stages its
-    // counts for the barrier fold.
+    // The filter runs on the sending side, which alone draws from its
+    // direction's stream.
     const auto dir = static_cast<std::size_t>(msg.src);
-    Rng &rng = domainMode() ? eciDirRng_[dir] : eciRng_;
     for (const auto &s : eciMsgSpecs_) {
         if (t < s.at || (s.until != 0 && t >= s.until))
             continue;
-        if (rng.chance(s.prob)) {
-            if (domainMode())
-                ++stagedCounts_[dir][static_cast<std::size_t>(s.kind)];
-            else
-                count(s.kind);
+        if (eciRng_[dir].chance(s.prob)) {
+            count(s.kind, dir);
             return s.kind == FaultKind::EciMsgDrop
                        ? eci::EciLink::FaultAction::Drop
                        : eci::EciLink::FaultAction::Corrupt;
@@ -130,19 +134,41 @@ FaultInjector::eciFilter(Tick t, const eci::EciMsg &msg)
 }
 
 void
-FaultInjector::bindDomains(sim::DomainScheduler &sched)
+FaultInjector::bindDomains(sim::DomainScheduler &sched,
+                           sim::TimingDomain &cpu_domain,
+                           sim::TimingDomain &fpga_domain)
 {
     ENZIAN_ASSERT(!armed_, "bindDomains() must precede arm()");
     stagedCounts_.arm();
-    eciDirRng_[0] = Rng(streamSeed(plan_.seed, 16));
-    eciDirRng_[1] = Rng(streamSeed(plan_.seed, 17));
+    domainQ_ = {&cpu_domain.queue(), &fpga_domain.queue()};
     sched.addBarrierTask([this] { foldDomainCounts(); });
+}
+
+std::size_t
+FaultInjector::stageOf(const EventQueue &q) const
+{
+    if (!stagedCounts_.armed())
+        return 0;
+    ENZIAN_ASSERT(&q == domainQ_[0] || &q == domainQ_[1],
+                  "fault injector '%s': an attached subsystem runs "
+                  "outside the machine's two domains",
+                  name().c_str());
+    return &q == domainQ_[1] ? 1 : 0;
+}
+
+void
+FaultInjector::count(FaultKind k, std::size_t stage)
+{
+    if (stagedCounts_.armed())
+        ++stagedCounts_[stage][static_cast<std::size_t>(k)];
+    else
+        injected_[static_cast<std::size_t>(k)].inc();
 }
 
 void
 FaultInjector::foldDomainCounts()
 {
-    // Fixed fold order (direction 0 then 1) so the shared counters
+    // Fixed fold order (CPU domain, then FPGA) so the shared counters
     // are identical for every thread count.
     stagedCounts_.fold([this](std::array<std::uint64_t,
                                          faultKindCount> &dir) {
@@ -164,18 +190,21 @@ FaultInjector::attachDram(mem::DramSystem &cpu_dram,
 }
 
 void
-FaultInjector::applyDramWindows(mem::DramSystem *dram, std::size_t node)
+FaultInjector::applyDramWindows(std::size_t node)
 {
     const auto &cfg = eccNow_[node];
     const bool active =
         cfg.correctable_prob > 0.0 || cfg.uncorrectable_prob > 0.0;
-    for (std::uint32_t i = 0; i < dram->channelCount(); ++i)
-        dram->channel(i).armEcc(active ? &dramRng_ : nullptr, cfg);
+    mem::DramSystem &dram = *drams_[node];
+    for (std::uint32_t i = 0; i < dram.channelCount(); ++i)
+        dram.channel(i).armEcc(active ? &dramRng_[node] : nullptr, cfg);
 }
 
 void
 FaultInjector::attachNet(net::TcpStack &a, net::TcpStack &b)
 {
+    ENZIAN_ASSERT(&a.eventq() == &b.eventq(),
+                  "fault injector: TCP pair on two queues");
     tcp_[0] = &a;
     tcp_[1] = &b;
     if (plan_.hasKind(FaultKind::NetLoss) ||
@@ -201,6 +230,8 @@ void
 FaultInjector::attachRdma(net::RdmaInitiator &ini, net::RdmaTarget &tgt,
                           bool abandon_after_retries)
 {
+    ENZIAN_ASSERT(&ini.eventq() == &tgt.eventq(),
+                  "fault injector: RDMA pair on two queues");
     rdmaIni_ = &ini;
     rdmaTgt_ = &tgt;
     if (plan_.hasKind(FaultKind::RdmaDrop))
@@ -226,18 +257,6 @@ FaultInjector::arm()
 {
     ENZIAN_ASSERT(!armed_, "FaultInjector armed twice");
     armed_ = true;
-    if (domainMode()) {
-        // Every other kind mutates state shared across domains (DRAM
-        // RNG, link retrain clocks, BMC sequencing) from timeline
-        // events on one domain's queue — not safe in parallel runs.
-        for (const auto &s : plan_.faults) {
-            if (!kindDomainSafe(s.kind)) {
-                fatal("fault kind '%s' cannot be armed in parallel "
-                      "domain mode (only ECI msg drop/corrupt can)",
-                      toString(s.kind));
-            }
-        }
-    }
     Tick bmcAt = 0;
     bool haveGlitch = false;
     for (const auto &s : plan_.faults) {
@@ -245,71 +264,27 @@ FaultInjector::arm()
           case FaultKind::EciMsgDrop:
           case FaultKind::EciMsgCorrupt:
             break; // handled by the per-send filter
-          case FaultKind::EciLaneFail: {
-            if (!fabric_)
-                break;
-            auto &link =
-                fabric_->link(s.target % fabric_->linkCount());
-            const auto n = static_cast<std::uint32_t>(s.param);
-            const std::uint32_t before = link.lanes();
-            eventq().schedule(
-                s.at,
-                [this, &link, n, kind = s.kind]() {
-                    count(kind);
-                    link.failLanes(n);
-                },
-                "fault-lane-fail");
-            if (s.until > s.at) {
-                eventq().schedule(
-                    s.until,
-                    [&link, before]() { link.restoreLanes(before); },
-                    "fault-lane-restore");
-            }
+          case FaultKind::EciLaneFail:
+          case FaultKind::EciLinkFlap:
+            if (fabric_)
+                scheduleEciFault(s);
             break;
-          }
-          case FaultKind::EciLinkFlap: {
-            if (!fabric_)
-                break;
-            auto &link =
-                fabric_->link(s.target % fabric_->linkCount());
-            const Tick down = units::us(std::max(s.param, 0.5));
-            eventq().schedule(
-                s.at,
-                [this, &link, down, kind = s.kind]() {
-                    count(kind);
-                    link.flap(down);
-                },
-                "fault-link-flap");
-            break;
-          }
           case FaultKind::DramEccCorrectable:
           case FaultKind::DramEccUncorrectable: {
             const std::size_t node = s.target % 2;
             if (!drams_[node])
                 break;
-            const bool corr = s.kind == FaultKind::DramEccCorrectable;
-            eventq().schedule(
-                s.at,
-                [this, node, corr, p = s.prob, kind = s.kind]() {
-                    count(kind);
-                    auto &cfg = eccNow_[node];
-                    (corr ? cfg.correctable_prob
-                          : cfg.uncorrectable_prob) += p;
-                    applyDramWindows(drams_[node], node);
+            auto &cfg = eccNow_[node];
+            double &slot = s.kind == FaultKind::DramEccCorrectable
+                               ? cfg.correctable_prob
+                               : cfg.uncorrectable_prob;
+            scheduleWindow(
+                drams_[node]->channel(0).eventq(), s,
+                [this, node, &slot, p = s.prob](bool on) {
+                    openWindow(slot, p, on);
+                    applyDramWindows(node);
                 },
-                "fault-ecc-on");
-            if (s.until > s.at) {
-                eventq().schedule(
-                    s.until,
-                    [this, node, corr, p = s.prob]() {
-                        auto &cfg = eccNow_[node];
-                        auto &slot = corr ? cfg.correctable_prob
-                                          : cfg.uncorrectable_prob;
-                        slot = std::max(0.0, slot - p);
-                        applyDramWindows(drams_[node], node);
-                    },
-                    "fault-ecc-off");
-            }
+                "fault-ecc-on", "fault-ecc-off");
             break;
           }
           case FaultKind::NetLoss:
@@ -317,54 +292,29 @@ FaultInjector::arm()
             if (!tcp_[0])
                 break;
             const bool loss = s.kind == FaultKind::NetLoss;
-            eventq().schedule(
-                s.at,
-                [this, loss, p = s.prob, d = s.param,
-                 kind = s.kind]() {
-                    count(kind);
-                    if (loss) {
-                        netDropNow_ += p;
-                    } else {
-                        netReorderNow_ += p;
-                        if (d > 0.0)
-                            netReorderDelayUs_ = d;
-                    }
+            double &slot = loss ? netDropNow_ : netReorderNow_;
+            const double delay = loss ? 0.0 : s.param;
+            scheduleWindow(
+                tcp_[0]->eventq(), s,
+                [this, &slot, delay, p = s.prob](bool on) {
+                    openWindow(slot, p, on);
+                    if (on && delay > 0.0)
+                        netReorderDelayUs_ = delay;
                     applyNetWindows();
                 },
-                "fault-net-on");
-            if (s.until > s.at) {
-                eventq().schedule(
-                    s.until,
-                    [this, loss, p = s.prob]() {
-                        auto &slot =
-                            loss ? netDropNow_ : netReorderNow_;
-                        slot = std::max(0.0, slot - p);
-                        applyNetWindows();
-                    },
-                    "fault-net-off");
-            }
+                "fault-net-on", "fault-net-off");
             break;
           }
           case FaultKind::RdmaDrop: {
             if (!rdmaIni_)
                 break;
-            eventq().schedule(
-                s.at,
-                [this, p = s.prob, kind = s.kind]() {
-                    count(kind);
-                    rdmaDropNow_ += p;
+            scheduleWindow(
+                rdmaIni_->eventq(), s,
+                [this, p = s.prob](bool on) {
+                    openWindow(rdmaDropNow_, p, on);
                     applyRdmaWindows();
                 },
-                "fault-rdma-on");
-            if (s.until > s.at) {
-                eventq().schedule(
-                    s.until,
-                    [this, p = s.prob]() {
-                        rdmaDropNow_ = std::max(0.0, rdmaDropNow_ - p);
-                        applyRdmaWindows();
-                    },
-                    "fault-rdma-off");
-            }
+                "fault-rdma-on", "fault-rdma-off");
             break;
           }
           case FaultKind::BmcRailGlitch: {
@@ -385,26 +335,80 @@ FaultInjector::arm()
 }
 
 void
+FaultInjector::scheduleWindow(EventQueue &q, const FaultSpec &s,
+                              std::function<void(bool)> apply,
+                              const char *on_what, const char *off_what)
+{
+    // The window opens (and is counted) and closes on the queue of
+    // the subsystem it changes.
+    const std::size_t stage = stageOf(q);
+    q.schedule(
+        s.at,
+        [this, apply, stage, kind = s.kind]() {
+            count(kind, stage);
+            apply(true);
+        },
+        on_what);
+    if (s.until > s.at)
+        q.schedule(s.until, [apply]() { apply(false); }, off_what);
+}
+
+void
+FaultInjector::scheduleEciFault(const FaultSpec &s)
+{
+    auto &link = fabric_->link(s.target % fabric_->linkCount());
+    const bool flap = s.kind == FaultKind::EciLinkFlap;
+    const Tick down = units::us(std::max(s.param, 0.5));
+    const auto n = static_cast<std::uint32_t>(s.param);
+    // Both sides apply the fault at the same tick, each on its own
+    // queue; the CPU side's half counts the injection.
+    for (const auto side : {mem::NodeId::Cpu, mem::NodeId::Fpga}) {
+        EventQueue &q = link.sideQueue(side);
+        const std::size_t stage = stageOf(q);
+        q.schedule(
+            s.at,
+            [this, &link, side, flap, down, n, stage, kind = s.kind]() {
+                if (side == mem::NodeId::Cpu)
+                    count(kind, stage);
+                if (flap)
+                    link.flap(side, down);
+                else
+                    link.failLanes(side, n);
+            },
+            flap ? "fault-link-flap" : "fault-lane-fail");
+        if (!flap && s.until > s.at) {
+            q.schedule(
+                s.until,
+                [&link, side, before = link.lanes(side)]() {
+                    link.restoreLanes(side, before);
+                },
+                "fault-lane-restore");
+        }
+    }
+}
+
+void
 FaultInjector::scheduleBmcPowerUp(Tick at)
 {
     // Rail glitches need a powered board: sequence standby, then both
     // domains, then run the glitches strictly one after another so
     // power cycles of a domain never overlap.
-    eventq().schedule(
-        std::max(at, now() + units::us(1.0)),
-        [this]() {
+    EventQueue &q = bmc_->eventq();
+    q.schedule(
+        std::max(at, bmc_->now() + units::us(1.0)),
+        [this, &q]() {
             const Tick standby = bmc_->domainUp(bmc::Domain::Standby)
-                                     ? now()
+                                     ? bmc_->now()
                                      : bmc_->commonPowerUp();
-            eventq().schedule(
+            q.schedule(
                 standby + units::us(1.0),
-                [this]() {
-                    Tick ready = now();
+                [this, &q]() {
+                    Tick ready = bmc_->now();
                     if (!bmc_->domainUp(bmc::Domain::Cpu))
                         ready = std::max(ready, bmc_->cpuPowerUp());
                     if (!bmc_->domainUp(bmc::Domain::Fpga))
                         ready = std::max(ready, bmc_->fpgaPowerUp());
-                    eventq().schedule(
+                    q.schedule(
                         ready + units::us(1.0),
                         [this]() { runNextGlitch(0); },
                         "fault-bmc-glitches");
@@ -419,9 +423,10 @@ FaultInjector::runNextGlitch(std::size_t i)
 {
     if (i >= glitchRails_.size())
         return;
-    count(FaultKind::BmcRailGlitch);
+    EventQueue &q = bmc_->eventq();
+    count(FaultKind::BmcRailGlitch, stageOf(q));
     const Tick settled = bmc_->injectRailGlitch(glitchRails_[i]);
-    eventq().schedule(
+    q.schedule(
         settled + units::us(10.0),
         [this, i]() { runNextGlitch(i + 1); }, "fault-bmc-next-glitch");
 }

@@ -19,12 +19,23 @@
  * require (ECI same-tid retry + reply cache, TCP sequenced mode, RDMA
  * fresh-id retry), since injecting loss without recovery would simply
  * hang the run.
+ *
+ * Ownership rule: every timeline event runs on the queue of the
+ * subsystem whose state it changes — a DRAM ECC window on that
+ * node's memory queue, a net or RDMA window on its stacks' queue, a
+ * rail glitch on the BMC's queue, and each side's half of an ECI link
+ * fault on that side's queue (EciLink::sideQueue). Every RNG stream
+ * is touched from one queue only: one per ECI direction (drawn by the
+ * sending side), one per DRAM node, one for the net pair and one for
+ * the RDMA pair. The same plan therefore runs unchanged on a single
+ * queue and under the domain scheduler.
  */
 
 #ifndef ENZIAN_FAULT_FAULT_INJECTOR_HH
 #define ENZIAN_FAULT_FAULT_INJECTOR_HH
 
 #include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,19 +70,24 @@ class FaultInjector : public SimObject
                    eci::RemoteAgent &cpu_remote,
                    eci::RemoteAgent &fpga_remote);
 
-    /** Attach both nodes' DRAM systems for ECC injection. */
+    /**
+     * Attach both nodes' DRAM systems for ECC injection; each node
+     * draws from its own stream.
+     */
     void attachDram(mem::DramSystem &cpu_dram,
                     mem::DramSystem &fpga_dram);
 
     /**
-     * Attach a TCP stack pair for loss/reorder injection. Switches
-     * both stacks to the reliable wire format when the plan contains
-     * a net fault kind, so call before connect().
+     * Attach a TCP stack pair for loss/reorder injection; both stacks
+     * must share one queue. Switches both stacks to the reliable wire
+     * format when the plan contains a net fault kind, so call before
+     * connect().
      */
     void attachNet(net::TcpStack &a, net::TcpStack &b);
 
     /**
-     * Attach an RDMA initiator/target pair for request/response loss.
+     * Attach an RDMA initiator/target pair (on one queue) for
+     * request/response loss.
      * @p abandon_after_retries makes the initiator drop (and count) a
      * request once retries are exhausted instead of panicking — for
      * open-loop load harnesses where overload-induced retry storms
@@ -89,25 +105,16 @@ class FaultInjector : public SimObject
     void attachBmc(bmc::Bmc &bmc);
 
     /**
-     * Parallel domain mode: ECI message faults draw from one RNG
-     * stream per link direction (each touched only by its source
-     * domain) and stage their injection counts per direction, folded
-     * into the reported counters at every epoch barrier — so counts
-     * and draws are bit-identical for any thread count. Only
-     * domain-local fault kinds (EciMsgDrop / EciMsgCorrupt) may be
-     * armed in this mode; arm() rejects the rest. Call before arm().
+     * Parallel domain mode, for a machine whose CPU and FPGA run as
+     * @p cpu_domain and @p fpga_domain: injection counts are staged
+     * per domain and folded into the reported counters at every
+     * epoch barrier (CPU first), so they are bit-identical for any
+     * thread count. Every attached subsystem must run on one of the
+     * two domains' queues. Call before arm().
      */
-    void bindDomains(sim::DomainScheduler &sched);
-
-    /** True when bindDomains() has switched to per-direction streams. */
-    bool domainMode() const { return stagedCounts_.armed(); }
-
-    /** Can @p k inject without cross-domain shared state? */
-    static bool kindDomainSafe(FaultKind k)
-    {
-        return k == FaultKind::EciMsgDrop ||
-               k == FaultKind::EciMsgCorrupt;
-    }
+    void bindDomains(sim::DomainScheduler &sched,
+                     sim::TimingDomain &cpu_domain,
+                     sim::TimingDomain &fpga_domain);
 
     /** Schedule every fault in the plan. Call once, after attaching. */
     void arm();
@@ -131,31 +138,39 @@ class FaultInjector : public SimObject
 
   private:
     eci::EciLink::FaultAction eciFilter(Tick t, const eci::EciMsg &msg);
-    void applyDramWindows(mem::DramSystem *dram, std::size_t node);
+    void applyDramWindows(std::size_t node);
     void applyNetWindows();
     void applyRdmaWindows();
+    void scheduleEciFault(const FaultSpec &s);
+    void scheduleWindow(EventQueue &q, const FaultSpec &s,
+                        std::function<void(bool)> apply,
+                        const char *on_what, const char *off_what);
     void scheduleBmcPowerUp(Tick at);
     void runNextGlitch(std::size_t i);
-    void count(FaultKind k) { injected_[static_cast<std::size_t>(k)].inc(); }
+    std::size_t stageOf(const EventQueue &q) const;
+    void count(FaultKind k, std::size_t stage);
     void foldDomainCounts();
 
     FaultPlan plan_;
     bool armed_ = false;
 
-    /** Per-subsystem streams forked from the plan seed. */
-    Rng eciRng_;
-    Rng dramRng_;
+    /**
+     * Per-subsystem streams forked from the plan seed: one ECI stream
+     * per link direction (index = source node), one DRAM stream per
+     * node.
+     */
+    std::array<Rng, 2> eciRng_;
+    std::array<Rng, 2> dramRng_;
     Rng netRng_;
     Rng rdmaRng_;
     Rng bmcRng_;
     /**
-     * Domain mode: one ECI stream per link direction (index =
-     * source node), touched only by that direction's source domain,
-     * plus per-direction staged injection counts folded into the
-     * shared counters at epoch barriers (dir 0 first, then dir 1);
-     * arming the stage is the domain-mode flag.
+     * Domain mode: the CPU and FPGA domain queues, and injection
+     * counts staged per domain (index 0 = CPU), folded into the
+     * shared counters at epoch barriers; arming the stage is the
+     * domain-mode flag.
      */
-    std::array<Rng, 2> eciDirRng_;
+    std::array<const EventQueue *, 2> domainQ_{nullptr, nullptr};
     sim::DirStaged<std::array<std::uint64_t, faultKindCount>>
         stagedCounts_;
 

@@ -48,19 +48,14 @@ constexpr std::uint64_t rdmaRegionBytes = 64ull << 20;
 
 ServingTestbed::ServingTestbed(const TestbedConfig &cfg_in) : cfg_(cfg_in)
 {
-    if (cfg_.threads > 0 && cfg_.service != ServiceKind::Gbdt) {
-        warn("serving testbed: %s service is not domain-safe; "
-             "falling back to the single-queue machine",
-             toString(cfg_.service));
-        cfg_.threads = 0;
-    }
-
     platform::EnzianMachine::Config mc =
         platform::servingMachineConfig();
     mc.protocol = cfg_.protocol;
     mc.threads = cfg_.threads;
     m_ = std::make_unique<platform::EnzianMachine>(mc);
-    EventQueue &eq = m_->eventq();
+    // Every service runs on the FPGA, where Enzian's accelerators and
+    // 100G ports are; only eci-host RDMA crosses to the CPU, over ECI.
+    EventQueue &eq = m_->fpgaEventq();
 
     // The injector must exist before the service connects: reliable
     // TCP mode and RDMA retry are switched on at attach time.
@@ -74,6 +69,9 @@ ServingTestbed::ServingTestbed(const TestbedConfig &cfg_in) : cfg_(cfg_in)
                               m_->fpgaMem().dram());
         if (cfg_.plan->hasKind(fault::FaultKind::BmcRailGlitch))
             injector_->attachBmc(m_->bmc());
+        if (m_->parallel())
+            injector_->bindDomains(*m_->scheduler(), *m_->cpuDomain(),
+                                   *m_->fpgaDomain());
     }
 
     switch (cfg_.service) {

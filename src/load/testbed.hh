@@ -43,8 +43,9 @@ struct TestbedConfig
     std::string protocol = "moesi";
     /**
      * Parallel domain mode thread count (0 = classic single queue).
-     * Only the GBDT service is domain-safe; other services warn and
-     * fall back to 0.
+     * Every service runs on the FPGA domain; eci-host RDMA reaches
+     * CPU memory across the ECI link, so any thread count gives the
+     * same results.
      */
     std::uint32_t threads = 0;
     /** Seed for tuple pools and machine-level randomness. */
@@ -79,7 +80,8 @@ class ServingTestbed
 
     ServiceDriver &driver() { return *driver_; }
     platform::EnzianMachine &machine() { return *m_; }
-    EventQueue &eventq() { return m_->eventq(); }
+    /** The queue the service runs on (the FPGA domain's). */
+    EventQueue &eventq() { return m_->fpgaEventq(); }
     fault::FaultInjector *injector() { return injector_.get(); }
 
     /** Run the machine until all queued work drains. */

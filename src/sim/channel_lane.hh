@@ -99,17 +99,20 @@ class ChannelLane final : public ChannelLaneBase
     bool attached() const { return chan_ != nullptr; }
 
     /**
-     * Copy @p value into a slot and enqueue it for delivery at
-     * absolute time @p when. Source-domain threads only; same
-     * lookahead/promise contract as CrossDomainChannel::push.
+     * Enqueue a slot for delivery at absolute time @p when and return
+     * it for the caller to fill in place. Source-domain threads only;
+     * same lookahead/promise contract as CrossDomainChannel::push.
      */
-    void
-    push(Tick when, const T &value)
+    T &
+    push(Tick when)
     {
         const std::uint32_t idx = acquire();
-        slot(idx) = value;
         chan_->pushLane(when, id_, idx);
+        return slot(idx);
     }
+
+    /** Copy @p value into a slot enqueued for delivery at @p when. */
+    void push(Tick when, const T &value) { push(when) = value; }
 
     /** Chunks allocated so far (tests: proves slots are recycled). */
     std::uint32_t chunksAllocated() const { return chunkCount_; }

@@ -43,7 +43,10 @@ class ProtocolChecker
      * original's reply), reused snoop tids, and duplicate snoop
      * responses are counted instead of flagged. Used when checking
      * traces captured under fault injection, where the recovery path
-     * legitimately re-sends messages with the same tid.
+     * legitimately re-sends messages with the same tid. Agents never
+     * reuse a tid, so a request or snoop seen again after its answer
+     * is a retry too: its original answer was still on the wire when
+     * the retry timer fired, and the retry's own answer may be lost.
      */
     void setRetryTolerant(bool on) { retryTolerant_ = on; }
 
@@ -86,6 +89,9 @@ class ProtocolChecker
     std::map<std::pair<int, std::uint32_t>, eci::Opcode> outstanding_;
     /** Outstanding snoops keyed by (home node, tid). */
     std::map<std::pair<int, std::uint32_t>, eci::Opcode> snoops_;
+    /** Retry-tolerant mode: answered request and snoop keys. */
+    std::set<std::pair<int, std::uint32_t>> answered_;
+    std::set<std::pair<int, std::uint32_t>> answeredSnoops_;
     std::vector<std::string> violations_;
     bool retryTolerant_ = false;
     std::uint64_t retransmits_ = 0;

@@ -21,6 +21,7 @@
 #include "net/tcp_stack.hh"
 #include "platform/enzian_machine.hh"
 #include "platform/platform_factory.hh"
+#include "sim/domain_scheduler.hh"
 
 namespace enzian::fault {
 namespace {
@@ -126,6 +127,15 @@ lineMsg(Addr addr, mem::NodeId src = mem::NodeId::Fpga)
     return m;
 }
 
+/** A whole-link fault: the same per-side call on both sides. */
+template <typename F>
+void
+bothSides(F &&apply)
+{
+    apply(mem::NodeId::Cpu);
+    apply(mem::NodeId::Fpga);
+}
+
 TEST(FaultEciLink, LaneFailureDeratesBandwidthProportionally)
 {
     EventQueue eq;
@@ -134,23 +144,31 @@ TEST(FaultEciLink, LaneFailureDeratesBandwidthProportionally)
     const double full = link.effectiveBandwidth();
     const std::uint32_t lanes = link.lanes();
 
-    link.failLanes(4);
-    EXPECT_EQ(link.lanes(), lanes - 4);
-    EXPECT_NEAR(link.effectiveBandwidth(),
-                full * (lanes - 4) / lanes, 1.0);
-    EXPECT_TRUE(link.retraining());
+    bothSides([&](mem::NodeId s) { link.failLanes(s, 4); });
+    bothSides([&](mem::NodeId s) {
+        EXPECT_EQ(link.lanes(s), lanes - 4);
+        EXPECT_NEAR(link.effectiveBandwidth(s),
+                    full * (lanes - 4) / lanes, 1.0);
+        EXPECT_TRUE(link.retraining(s));
+    });
     EXPECT_EQ(link.laneFailures(), 1u);
     EXPECT_EQ(link.retrains(), 1u);
 
     // Failing more lanes than remain still leaves one lane up.
-    link.failLanes(100);
+    bothSides([&](mem::NodeId s) { link.failLanes(s, 100); });
     EXPECT_EQ(link.lanes(), 1u);
     EXPECT_NEAR(link.effectiveBandwidth(), full / lanes, 1.0);
 
-    link.restoreLanes(lanes);
+    bothSides([&](mem::NodeId s) { link.restoreLanes(s, lanes); });
     EXPECT_EQ(link.lanes(), lanes);
     EXPECT_NEAR(link.effectiveBandwidth(), full, 1.0);
     EXPECT_EQ(link.retrains(), 3u);
+
+    // A one-sided fault derates only that side's transmit direction.
+    link.failLanes(mem::NodeId::Fpga, 6);
+    EXPECT_EQ(link.lanes(mem::NodeId::Fpga), lanes - 6);
+    EXPECT_EQ(link.lanes(mem::NodeId::Cpu), lanes);
+    EXPECT_NEAR(link.effectiveBandwidth(mem::NodeId::Cpu), full, 1.0);
 }
 
 TEST(FaultEciLink, RetrainStallsTraffic)
@@ -162,7 +180,7 @@ TEST(FaultEciLink, RetrainStallsTraffic)
     const Tick clean = link.send(lineMsg(0));
     eq.run();
 
-    link.failLanes(2);
+    bothSides([&](mem::NodeId s) { link.failLanes(s, 2); });
     const Tick retrain_ends = eq.now() + units::ns(cfg.retrain_ns);
     const Tick delayed = link.send(lineMsg(128));
     // The serializer cannot start before the retrain completes, so
@@ -170,7 +188,7 @@ TEST(FaultEciLink, RetrainStallsTraffic)
     EXPECT_GT(delayed, retrain_ends);
     EXPECT_GT(delayed - eq.now(), clean);
     eq.run();
-    EXPECT_FALSE(link.retraining());
+    EXPECT_FALSE(link.retraining(mem::NodeId::Fpga));
 }
 
 TEST(FaultEciLink, FlapLosesInFlightAndReconcilesCredits)
@@ -186,7 +204,7 @@ TEST(FaultEciLink, FlapLosesInFlightAndReconcilesCredits)
     link.send(lineMsg(128));
     link.send(lineMsg(0, mem::NodeId::Cpu));
 
-    link.flap(units::us(5.0));
+    bothSides([&](mem::NodeId s) { link.flap(s, units::us(5.0)); });
     EXPECT_EQ(link.linkFlaps(), 1u);
     EXPECT_EQ(link.creditsReconciled(), 3u);
     eq.run();
@@ -195,6 +213,41 @@ TEST(FaultEciLink, FlapLosesInFlightAndReconcilesCredits)
     // After the flap + retrain the link carries traffic again.
     link.send(lineMsg(256));
     eq.run();
+    EXPECT_EQ(delivered, 1u);
+}
+
+TEST(FaultEciLink, FlapUnderDomainsLosesInFlightOnDelivery)
+{
+    const eci::EciLink::Config cfg = platform::params::eciLinkConfig();
+    sim::DomainScheduler sched("s", eci::EciLink::minCrossLatency(cfg),
+                               1);
+    sim::TimingDomain &cpu = sched.addDomain("cpu");
+    sim::TimingDomain &fpga = sched.addDomain("fpga");
+    eci::EciLink link("l", cpu.queue(), cfg);
+    link.bindDomains(sched, cpu, fpga);
+    std::uint32_t delivered = 0;
+    link.setReceiver(mem::NodeId::Cpu,
+                     [&](const eci::EciMsg &) { ++delivered; });
+    link.setReceiver(mem::NodeId::Fpga,
+                     [&](const eci::EciMsg &) { ++delivered; });
+    link.send(lineMsg(0));
+    link.send(lineMsg(128));
+    link.send(lineMsg(0, mem::NodeId::Cpu));
+
+    // Each side's half of the flap runs on its own domain, one tick
+    // after the sends; arrivals still crossing the scheduler are
+    // judged, and counted, on delivery.
+    bothSides([&](mem::NodeId s) {
+        link.sideQueue(s).schedule(
+            1, [&link, s] { link.flap(s, units::us(5.0)); });
+    });
+    sched.run();
+    EXPECT_EQ(delivered, 0u);
+    EXPECT_EQ(link.linkFlaps(), 1u);
+    EXPECT_EQ(link.creditsReconciled(), 3u);
+
+    link.send(lineMsg(256));
+    sched.run();
     EXPECT_EQ(delivered, 1u);
 }
 

@@ -114,6 +114,7 @@ struct RunOutcome
     std::uint64_t completed = 0;
     double p99_us = 0.0;
     std::string csv;
+    bool parallel = false;
 };
 
 RunOutcome
@@ -140,6 +141,7 @@ runService(TestbedConfig tbc, double rate_rps, double duration_ms,
     out.offered = gen.offeredCount();
     out.completed = gen.completedCount();
     out.p99_us = slo.p99Us();
+    out.parallel = bed.machine().parallel();
     std::ostringstream os;
     slo.writeCsv(os);
     out.csv = os.str();
@@ -172,15 +174,51 @@ TEST(ServingTestbed, EciHostRdmaPathServes)
 
 TEST(ServingTestbed, SloSeriesIsByteIdenticalAcrossThreadCounts)
 {
-    TestbedConfig tbc;
-    tbc.service = ServiceKind::Gbdt;
-    const RunOutcome t1 = runService(tbc, 30000.0, 10.0);
-    tbc.threads = 4;
-    const RunOutcome t4 = runService(tbc, 30000.0, 10.0);
-    EXPECT_GT(t1.offered, 100u);
-    EXPECT_EQ(t1.offered, t4.offered);
-    EXPECT_EQ(t1.completed, t4.completed);
-    EXPECT_EQ(t1.csv, t4.csv);
+    std::istringstream spec(
+        "seed 9\n"
+        "fault kind=dram-ecc-correctable prob=0.05 target=1 at_us=0\n"
+        "fault kind=rdma-drop prob=0.05 at_us=0\n");
+    std::string err;
+    const auto plan = fault::FaultPlan::parse(spec, err);
+    ASSERT_TRUE(plan) << err;
+
+    struct Input
+    {
+        ServiceKind service;
+        const char *rdma_path;
+        double rate_rps;
+        double duration_ms;
+        const fault::FaultPlan *plan;
+    };
+    const Input inputs[] = {
+        {ServiceKind::Gbdt, "dram", 30000.0, 10.0, nullptr},
+        {ServiceKind::Rdma, "dram", 30000.0, 5.0, nullptr},
+        {ServiceKind::Rdma, "eci-host", 10000.0, 5.0, nullptr},
+        {ServiceKind::Tcp, "dram", 20000.0, 5.0, nullptr},
+        {ServiceKind::Rdma, "dram", 30000.0, 5.0, &*plan},
+    };
+    for (const Input &in : inputs) {
+        const std::string what =
+            std::string(toString(in.service)) + "/" + in.rdma_path +
+            (in.plan ? "/faulted" : "");
+        TestbedConfig tbc;
+        tbc.service = in.service;
+        tbc.rdma_path = in.rdma_path;
+        tbc.threads = 4;
+        const RunOutcome t4 =
+            runService(tbc, in.rate_rps, in.duration_ms, in.plan);
+        EXPECT_TRUE(t4.parallel) << what;
+        EXPECT_GT(t4.offered, 40u) << what;
+        for (const std::uint32_t threads : {0u, 1u}) {
+            tbc.threads = threads;
+            const RunOutcome t =
+                runService(tbc, in.rate_rps, in.duration_ms, in.plan);
+            EXPECT_EQ(t.offered, t4.offered) << what << " t" << threads;
+            EXPECT_EQ(t.completed, t4.completed)
+                << what << " t" << threads;
+            EXPECT_EQ(t.csv, t4.csv) << what << " t" << threads;
+        }
+    }
 }
 
 // ------------------------------------------------------------- sweeps

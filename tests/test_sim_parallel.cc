@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -298,17 +299,18 @@ lossyPlan()
     return plan;
 }
 
-TEST(ParallelChaos, RegistryBitIdenticalAcrossThreadCounts)
+/**
+ * Byte-compare two chaos runs of one scenario at 1 and 4 threads;
+ * returns the 4-thread result.
+ */
+fault::ChaosResult
+expectChaosIdenticalAt1And4(const fault::FaultPlan &plan,
+                            fault::ChaosConfig cfg)
 {
-    fault::ChaosConfig cfg;
-    cfg.seed = 7;
-    cfg.ops = 200;
-    cfg.lines = 16;
-    const auto plan = lossyPlan();
-    ASSERT_TRUE(fault::planParallelSafe(plan));
-
-    const auto r1 = fault::runChaosParallel(plan, cfg, 1);
-    const auto r4 = fault::runChaosParallel(plan, cfg, 4);
+    cfg.threads = 1;
+    const auto r1 = fault::runChaos(plan, cfg);
+    cfg.threads = 4;
+    const auto r4 = fault::runChaos(plan, cfg);
     EXPECT_TRUE(r1.ok) << (r1.violations.empty()
                                ? std::string()
                                : r1.violations.front());
@@ -320,17 +322,59 @@ TEST(ParallelChaos, RegistryBitIdenticalAcrossThreadCounts)
     // The whole observable state of the simulation, byte for byte.
     EXPECT_EQ(r1.registryJson, r4.registryJson);
     EXPECT_EQ(r1.report, r4.report);
+    return r4;
 }
 
-TEST(ParallelChaos, RejectsNonDomainSafePlans)
+TEST(ParallelChaos, RegistryBitIdenticalAcrossThreadCounts)
 {
-    fault::FaultPlan plan;
-    plan.seed = 9;
-    fault::FaultSpec ecc;
-    ecc.kind = fault::FaultKind::DramEccCorrectable;
-    ecc.prob = 0.01;
-    plan.faults.push_back(ecc);
-    EXPECT_FALSE(fault::planParallelSafe(plan));
+    fault::ChaosConfig cfg;
+    cfg.seed = 7;
+    cfg.ops = 200;
+    cfg.lines = 16;
+    expectChaosIdenticalAt1And4(lossyPlan(), cfg);
+}
+
+TEST(ParallelChaos, EveryFaultKindByteIdenticalAcrossThreadCounts)
+{
+    // One spec of each kind, with every subsystem it targets attached:
+    // ECI faults on both domains, DRAM ECC on each node's memory,
+    // TCP/RDMA on the FPGA domain and rail glitches on the BMC.
+    std::istringstream spec(
+        "seed 77\n"
+        "fault kind=eci-msg-drop prob=0.02\n"
+        "fault kind=eci-msg-corrupt prob=0.01\n"
+        "fault kind=eci-lane-fail param=4 target=0 at_us=20 "
+        "until_us=45\n"
+        "fault kind=eci-link-flap param=3 target=1 at_us=30\n"
+        "fault kind=dram-ecc-correctable prob=0.05 target=0 at_us=5 "
+        "until_us=60\n"
+        "fault kind=dram-ecc-uncorrectable prob=0.02 target=1 "
+        "at_us=5 until_us=60\n"
+        "fault kind=net-loss prob=0.05 at_us=1 until_us=50\n"
+        "fault kind=net-reorder prob=0.05 param=10 at_us=1 "
+        "until_us=50\n"
+        "fault kind=rdma-drop prob=0.1 at_us=1 until_us=50\n"
+        "fault kind=bmc-rail-glitch target=1 at_us=10\n");
+    std::string err;
+    const auto plan = fault::FaultPlan::parse(spec, err);
+    ASSERT_TRUE(plan) << err;
+    ASSERT_EQ(plan->faults.size(), fault::faultKindCount);
+
+    fault::ChaosConfig cfg;
+    cfg.seed = 77;
+    cfg.ops = 200;
+    cfg.lines = 16;
+    cfg.with_bmc = true;
+    const auto r = expectChaosIdenticalAt1And4(*plan, cfg);
+
+    // The report lists exactly the kinds that injected at least once.
+    for (std::size_t k = 0; k < fault::faultKindCount; ++k) {
+        const std::string kind =
+            fault::toString(static_cast<fault::FaultKind>(k));
+        EXPECT_NE(r.report.find("  " + kind + ": "), std::string::npos)
+            << kind << " never injected:\n"
+            << r.report;
+    }
 }
 
 } // namespace

@@ -184,6 +184,22 @@ TEST(Checker, FlagsTidReuse)
     EXPECT_FALSE(c.clean());
 }
 
+TEST(Checker, RetryTolerantAcceptsRetryAfterItsAnswer)
+{
+    // The answer was still on the wire when the retry timer fired;
+    // the home's replayed answer to the retry is then lost.
+    EciTrace t;
+    t.record(0, msg(eci::Opcode::RLDD, 27, 0));
+    t.record(10, msg(eci::Opcode::PEMD, 27, 0, mem::NodeId::Fpga));
+    t.record(20, msg(eci::Opcode::RLDD, 27, 0));
+    ProtocolChecker c;
+    c.setRetryTolerant(true);
+    c.check(t);
+    c.finalize();
+    EXPECT_TRUE(c.clean()) << c.violations().front();
+    EXPECT_EQ(c.retransmits(), 1u);
+}
+
 TEST(Checker, TracksInferredStates)
 {
     EciTrace t;

@@ -4,9 +4,11 @@
  * line and report what was injected and what recovered.
  *
  * Loads a FaultPlan from a text spec (or generates one from a seed),
- * runs the shared chaos scenario — a small Enzian machine under
- * randomized coherent, TCP and RDMA traffic with the invariant
- * monitor attached — and dumps per-fault injection/recovery counts.
+ * runs the shared chaos scenario — a small Enzian machine, run as CPU
+ * and FPGA timing domains, under randomized coherent, TCP and RDMA
+ * traffic with the invariant monitor attached — and dumps per-fault
+ * injection/recovery counts. Every plan runs at any thread count
+ * with the same result.
  * Exits non-zero if any invariant was violated, any acked write read
  * back wrong, or any traffic failed to complete.
  *
@@ -33,7 +35,7 @@ main(int argc, char **argv)
     std::optional<std::uint64_t> traffic_seed;
     bool no_net = false, no_rdma = false, dump_plan = false;
     std::optional<std::string> json;
-    std::uint32_t threads = cli::envThreads();
+    cfg.threads = cli::envThreads();
     cli::Tool tool("enzchaos",
                    "Run a fault-injection chaos scenario and report what "
                    "was injected and\nwhat recovered; exit 1 on any "
@@ -50,9 +52,9 @@ main(int argc, char **argv)
         .flag("--with-bmc", cfg.with_bmc, "attach the BMC for rail glitches")
         .choice("--protocol", cfg.protocol, eci::proto::protocolNames(),
                 "coherence protocol (default moesi)")
-        .value("--threads", threads, "N",
-               "parallel timing domains on N threads; domain-unsafe "
-               "plans fall back to one queue (default ENZIAN_THREADS)")
+        .value("--threads", cfg.threads, "N",
+               "run the timing domains on N threads (default "
+               "ENZIAN_THREADS; 0 and 1 run them in sequence)")
         .flag("--dump-plan", dump_plan, "print the effective plan and exit")
         .optionalValue("--json", json, "FILE",
                        "also dump the full stats registry JSON")
@@ -87,20 +89,10 @@ main(int argc, char **argv)
     for (const auto &s : plan->faults)
         std::printf("  %s\n", s.toString().c_str());
 
-    if (threads > 0 && !fault::planParallelSafe(*plan)) {
-        std::fprintf(stderr,
-                     "enzchaos: plan is not domain-safe (only ECI "
-                     "msg drop/corrupt can run in parallel); "
-                     "falling back to the single-queue machine\n");
-        threads = 0;
-    }
-    if (threads > 0)
-        std::printf("parallel: %u thread(s), timing-domain machine\n",
-                    threads);
+    if (cfg.threads > 1)
+        std::printf("parallel: %u threads\n", cfg.threads);
 
-    const fault::ChaosResult r =
-        threads > 0 ? fault::runChaosParallel(*plan, cfg, threads)
-                    : fault::runChaos(*plan, cfg);
+    const fault::ChaosResult r = fault::runChaos(*plan, cfg);
 
     std::printf("\n%s\n", r.report.c_str());
     std::printf("ops: %llu issued, %llu completed\n",

@@ -14,8 +14,7 @@
  *
  * Default is an auto sweep (geometric ladder from 10% to 150% of the
  * testbed's estimated capacity). --rate runs one operating point
- * instead. ENZIAN_THREADS is honored like --threads (GBDT only; the
- * other services fall back to the single-queue machine).
+ * instead. ENZIAN_THREADS is honored like --threads.
  *
  * Exit status: 0 if a knee was found (or --rate met the SLO), 1 if no
  * operating point met the SLO or an output could not be written, 2 on
@@ -148,8 +147,7 @@ main(int argc, char **argv)
                 eci::proto::protocolNames(),
                 "coherence protocol (default moesi)")
         .value("--threads", cfg.testbed.threads, "N",
-               "parallel timing domains, GBDT only (default "
-               "ENZIAN_THREADS)")
+               "parallel timing domains (default ENZIAN_THREADS)")
         .value("--users-rps", users_rps, "R",
                "per-user rate: report supported users at the knee")
         .optionalValue("--trace", trace, "FILE",
