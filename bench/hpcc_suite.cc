@@ -14,18 +14,16 @@
 
 #include "bench_common.hh"
 
-#include <complex>
-#include <cstring>
-
 #include "accel/hpcc/fft.hh"
 #include "accel/hpcc/lu.hh"
 #include "accel/hpcc/transpose.hh"
-#include "base/rng.hh"
 #include "mem/address_map.hh"
+#include "platform/hpcc_scenario.hh"
 
 using namespace enzian;
 using namespace enzian::bench;
 using namespace enzian::accel::hpcc;
+using namespace enzian::platform;
 
 namespace {
 
@@ -33,67 +31,26 @@ constexpr Addr kIn = mem::AddressMap::fpgaDramBase;
 constexpr Addr kOut = mem::AddressMap::fpgaDramBase + (64ull << 20);
 constexpr Addr kHostIn = 1ull << 20;
 
-accel::Pipeline::Config
-pipeConfig(platform::EnzianMachine &m)
-{
-    accel::Pipeline::Config cfg;
-    cfg.mc = &m.fpgaMem();
-    cfg.map = &m.map();
-    cfg.clock = &m.fpga().clock();
-    cfg.remote = &m.fpgaRemote();
-    return cfg;
-}
-
-/** Makespan of @p jobs identical back-to-back jobs (seconds). */
-double
-measureJobsSec(platform::EnzianMachine &m, accel::Pipeline &pipe,
-               const accel::Pipeline::Job &job, std::uint32_t jobs)
-{
-    const Tick start = m.now();
-    Tick last = 0;
-    std::uint32_t completed = 0;
-    for (std::uint32_t i = 0; i < jobs; ++i) {
-        pipe.process(start, job, [&](Tick t) {
-            last = std::max(last, t);
-            ++completed;
-        });
-    }
-    m.run();
-    if (completed != jobs)
-        fatal("hpcc bench completed %u of %u jobs", completed, jobs);
-    return units::toSeconds(last - start);
-}
-
 double
 runFft(BenchReport &rep)
 {
     auto m = makeBenchMachine(platform::enzianDefaultConfig());
     FftPipeline::Params p; // n = 1024, 8 lanes
-    FftPipeline fft("hpcc.fft", m->fpgaEventq(), pipeConfig(*m), p);
+    FftPipeline fft("hpcc.fft", m->fpgaEventq(), fpgaPipeConfig(*m), p);
 
-    Rng rng(0xfff7);
-    std::vector<std::complex<float>> sig(p.n);
-    for (auto &s : sig)
-        s = {static_cast<float>(rng.uniform(-1.0, 1.0)),
-             static_cast<float>(rng.uniform(-1.0, 1.0))};
+    const auto sig = randomSignal(p.n, 0xfff7);
     m->fpgaMem().store().write(m->map().offsetInRegion(kIn),
                                sig.data(), sig.size() * 8);
 
     // Verify before timing.
-    bool done = false;
-    fft.process(0, fft.makeJob(kIn, kOut), [&](Tick) { done = true; });
-    m->run();
-    std::vector<std::complex<float>> got(p.n);
-    m->fpgaMem().store().read(m->map().offsetInRegion(kOut),
-                              got.data(), got.size() * 8);
-    if (!done || rmsError(got, dftReference(sig)) > 1e-6)
+    timeJobs(*m, fft, fft.makeJob(kIn, kOut), 1);
+    if (!fftMatchesReference(*m, kOut, sig))
         fatal("FFT output fails the DFT oracle check");
 
     const std::uint64_t transforms = 16;
     const std::uint32_t jobs = 8;
     const double secs =
-        measureJobsSec(*m, fft, fft.makeJob(kIn, kOut, transforms),
-                       jobs);
+        timeJobs(*m, fft, fft.makeJob(kIn, kOut, transforms), jobs);
     const double total =
         static_cast<double>(FftPipeline::flops(p.n)) * transforms *
         jobs;
@@ -111,33 +68,18 @@ runLu(BenchReport &rep)
 {
     auto m = makeBenchMachine(platform::enzianDefaultConfig());
     LuPipeline::Params p; // n = 256, block 32, 64 MACs
-    LuPipeline lu("hpcc.lu", m->fpgaEventq(), pipeConfig(*m), p);
+    LuPipeline lu("hpcc.lu", m->fpgaEventq(), fpgaPipeConfig(*m), p);
 
-    Rng rng(0x10);
-    std::vector<float> mat(static_cast<std::size_t>(p.n) * p.n);
-    for (auto &v : mat)
-        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const auto mat = randomMatrix(p.n, p.n, 0x10);
     m->fpgaMem().store().write(m->map().offsetInRegion(kIn),
                                mat.data(), mat.size() * 4);
 
-    bool done = false;
-    lu.process(0, lu.makeJob(kIn, kOut), [&](Tick) { done = true; });
-    m->run();
-    std::vector<float> factors(mat.size());
-    m->fpgaMem().store().read(m->map().offsetInRegion(kOut),
-                              factors.data(), factors.size() * 4);
-    auto want = mat;
-    std::vector<std::int32_t> piv;
-    luReference(want, piv, p.n);
-    if (!done)
-        fatal("LU job never completed");
-    for (std::size_t i = 0; i < factors.size(); ++i)
-        if (std::abs(factors[i] - want[i]) > 1e-4f)
-            fatal("LU factors diverge from the reference at %zu", i);
+    timeJobs(*m, lu, lu.makeJob(kIn, kOut), 1);
+    if (!luMatchesReference(*m, kOut, mat, p.n, 1e-4f))
+        fatal("LU factors diverge from the reference");
 
     const std::uint32_t jobs = 4;
-    const double secs =
-        measureJobsSec(*m, lu, lu.makeJob(kIn, kOut), jobs);
+    const double secs = timeJobs(*m, lu, lu.makeJob(kIn, kOut), jobs);
     const double gflops = static_cast<double>(LuPipeline::flops(p.n)) *
                           jobs / secs / 1e9;
     const double gbs =
@@ -155,38 +97,26 @@ runTranspose(BenchReport &rep)
     auto m = makeBenchMachine(platform::enzianDefaultConfig());
     TransposePipeline::Params p; // 256 x 256, tile 64
     TransposePipeline tr("hpcc.ptrans", m->fpgaEventq(),
-                         pipeConfig(*m), p);
+                         fpgaPipeConfig(*m), p);
 
-    Rng rng(0x44);
-    std::vector<float> mat(static_cast<std::size_t>(p.rows) * p.cols);
-    for (auto &v : mat)
-        v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    auto &store = m->fpgaMem().store();
-    store.write(m->map().offsetInRegion(kIn), mat.data(),
-                mat.size() * 4);
+    const auto mat = randomMatrix(p.rows, p.cols, 0x44);
+    m->fpgaMem().store().write(m->map().offsetInRegion(kIn),
+                               mat.data(), mat.size() * 4);
     m->cpuMem().store().write(m->map().offsetInRegion(kHostIn),
                               mat.data(), mat.size() * 4);
 
-    bool done = false;
-    tr.process(0, tr.makeJob(kIn, kOut), [&](Tick) { done = true; });
-    m->run();
-    std::vector<float> got(mat.size());
-    store.read(m->map().offsetInRegion(kOut), got.data(),
-               got.size() * 4);
-    const auto want = transposeReference(mat, p.rows, p.cols);
-    if (!done ||
-        std::memcmp(got.data(), want.data(), want.size() * 4) != 0)
+    timeJobs(*m, tr, tr.makeJob(kIn, kOut), 1);
+    if (!transposeMatchesReference(*m, kOut, mat, p.rows, p.cols))
         fatal("transpose output is not bit-exact");
 
     const std::uint32_t jobs = 8;
     const double local_secs =
-        measureJobsSec(*m, tr, tr.makeJob(kIn, kOut), jobs);
+        timeJobs(*m, tr, tr.makeJob(kIn, kOut), jobs);
     const double local_gbs = static_cast<double>(tr.bytesMoved()) *
                              jobs / local_secs / 1e9;
     auto remote_job = tr.makeJob(kHostIn, kOut);
     remote_job.input_remote = true;
-    const double remote_secs =
-        measureJobsSec(*m, tr, remote_job, jobs);
+    const double remote_secs = timeJobs(*m, tr, remote_job, jobs);
     const double remote_gbs = static_cast<double>(tr.bytesMoved()) *
                               jobs / remote_secs / 1e9;
     std::printf("%-10s %4ux%-4u %11s %12.2f   (ECI pull: %.2f GB/s)\n",

@@ -103,10 +103,17 @@ runChaos(const FaultPlan &plan, const ChaosConfig &cfg)
                                            net::Switch::Config{});
     }
     if (cfg.with_net) {
+        // Host stacks cut to wire-MTU segments, not 64 KiB TSO bursts,
+        // so each job is many segments for loss and reordering to hit.
+        auto tcpConfig = [](std::uint32_t port) {
+            net::TcpStack::Config c = net::hostTcpConfig(port);
+            c.mss = 2048 - net::tcpHeaderBytes;
+            return c;
+        };
         tcpA = std::make_unique<net::TcpStack>("chaos.tcp0", feq, *sw,
-                                               net::hostTcpConfig(0));
+                                               tcpConfig(0));
         tcpB = std::make_unique<net::TcpStack>("chaos.tcp1", feq, *sw,
-                                               net::hostTcpConfig(1));
+                                               tcpConfig(1));
         inj.attachNet(*tcpA, *tcpB); // before connect()
     }
     if (cfg.with_rdma) {

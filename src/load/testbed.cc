@@ -202,6 +202,55 @@ geometricRates(double lo, double hi, std::size_t n)
     return rates;
 }
 
+SweepPoint
+runPoint(const SweepConfig &cfg, double rate,
+         std::uint64_t trace_requests, const PointInspector &inspect)
+{
+    ServingTestbed bed(cfg.testbed);
+
+    obs::SloRecorder::Config sc;
+    sc.name = "sweep";
+    sc.window = cfg.window;
+    sc.slo_latency_us = cfg.slo_latency_us;
+    sc.slo_quantile = cfg.slo_quantile;
+    obs::SloRecorder slo(sc);
+
+    LoadGen::Config lc;
+    lc.arrival = cfg.arrival;
+    lc.arrival.rate_rps = rate;
+    lc.duration = cfg.duration;
+    lc.clients = cfg.clients;
+    lc.trace_requests = trace_requests;
+    LoadGen gen("serving.loadgen", bed.eventq(), bed.driver(), slo, lc);
+    gen.start();
+    bed.run();
+    slo.rollTo(bed.machine().now());
+    if (inspect)
+        inspect(bed, slo);
+
+    SweepPoint p;
+    p.offered_rps = rate;
+    p.offered = gen.offeredCount();
+    p.completed = gen.completedCount();
+    p.achieved_rps =
+        static_cast<double>(p.completed) / units::toSeconds(cfg.duration);
+    p.p50_us = slo.p50Us();
+    p.p99_us = slo.p99Us();
+    p.p999_us = slo.p999Us();
+    p.mean_us = slo.meanUs();
+    p.max_us = slo.maxUs();
+    p.burn_rate = slo.burnRate();
+    // A request that never completed (abandoned under faults) is an
+    // SLO violation with infinite latency: the quantile is only
+    // meaningful if at least that fraction completed at all.
+    const double done_frac = p.offered
+                                 ? static_cast<double>(p.completed) /
+                                       static_cast<double>(p.offered)
+                                 : 1.0;
+    p.slo_ok = slo.sloMet() && done_frac >= cfg.slo_quantile;
+    return p;
+}
+
 SweepResult
 runSweep(const SweepConfig &cfg)
 {
@@ -214,50 +263,8 @@ runSweep(const SweepConfig &cfg)
     }
 
     SweepResult result;
-    for (const double rate : rates) {
-        ServingTestbed bed(cfg.testbed);
-
-        obs::SloRecorder::Config sc;
-        sc.name = "sweep";
-        sc.window = cfg.window;
-        sc.slo_latency_us = cfg.slo_latency_us;
-        sc.slo_quantile = cfg.slo_quantile;
-        obs::SloRecorder slo(sc);
-
-        LoadGen::Config lc;
-        lc.arrival = cfg.arrival;
-        lc.arrival.rate_rps = rate;
-        lc.duration = cfg.duration;
-        lc.clients = cfg.clients;
-        LoadGen gen("serving.loadgen", bed.eventq(), bed.driver(),
-                    slo, lc);
-        gen.start();
-        bed.run();
-        slo.rollTo(bed.machine().now());
-
-        SweepPoint p;
-        p.offered_rps = rate;
-        p.offered = gen.offeredCount();
-        p.completed = gen.completedCount();
-        p.achieved_rps =
-            static_cast<double>(p.completed) /
-            units::toSeconds(cfg.duration);
-        p.p50_us = slo.p50Us();
-        p.p99_us = slo.p99Us();
-        p.p999_us = slo.p999Us();
-        p.mean_us = slo.meanUs();
-        p.max_us = slo.maxUs();
-        p.burn_rate = slo.burnRate();
-        // A request that never completed (abandoned under faults) is
-        // an SLO violation with infinite latency: the quantile is
-        // only meaningful if at least that fraction completed at all.
-        const double done_frac =
-            p.offered ? static_cast<double>(p.completed) /
-                            static_cast<double>(p.offered)
-                      : 1.0;
-        p.slo_ok = slo.sloMet() && done_frac >= cfg.slo_quantile;
-        result.points.push_back(p);
-    }
+    for (const double rate : rates)
+        result.points.push_back(runPoint(cfg, rate));
 
     // The knee: the highest offered load whose run met the SLO. The
     // ladder ascends, so scan from the top.

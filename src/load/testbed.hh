@@ -9,7 +9,9 @@
  * is attached (and its recovery machinery enabled) before the service
  * connects, so SLO deltas under faults are one flag away.
  *
- * runSweep() is the capacity-planning primitive: drive the testbed at
+ * runPoint() is the one serving operating point: testbed, SLO
+ * recorder and open-loop load generator, run to drain. runSweep() is
+ * the capacity-planning primitive built on it: drive the testbed at
  * a ladder of offered rates, fresh machine per point (so points are
  * independent), and report the knee — the highest offered load whose
  * run still meets the SLO at the configured quantile.
@@ -18,6 +20,7 @@
 #ifndef ENZIAN_LOAD_TESTBED_HH
 #define ENZIAN_LOAD_TESTBED_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "fault/fault_injector.hh"
 #include "load/drivers.hh"
 #include "load/load_gen.hh"
+#include "obs/slo.hh"
 #include "platform/enzian_machine.hh"
 
 namespace enzian::load {
@@ -167,7 +171,23 @@ struct SweepResult
 /** @p n geometrically spaced rates over [lo, hi]. */
 std::vector<double> geometricRates(double lo, double hi, std::size_t n);
 
-/** Run the saturation sweep; fresh testbed per ladder point. */
+/** Sees a point's testbed and recorder before they are torn down. */
+using PointInspector =
+    std::function<void(ServingTestbed &, const obs::SloRecorder &)>;
+
+/**
+ * Run one operating point: a fresh testbed from cfg.testbed offered
+ * @p rate requests/s of cfg's arrival shape for cfg.duration, and an
+ * SLO recorder over cfg's window and objective. The first
+ * @p trace_requests requests are flow-traced (the span tracer must be
+ * on to record them). @p inspect, when set, runs after the drain with
+ * the recorder's last window closed.
+ */
+SweepPoint runPoint(const SweepConfig &cfg, double rate,
+                    std::uint64_t trace_requests = 0,
+                    const PointInspector &inspect = {});
+
+/** Run the saturation sweep: runPoint at every ladder rate. */
 SweepResult runSweep(const SweepConfig &cfg);
 
 } // namespace enzian::load

@@ -26,6 +26,7 @@
 #include "fpga/scheduler.hh"
 #include "obs/request_context.hh"
 #include "platform/enzian_machine.hh"
+#include "platform/hpcc_scenario.hh"
 #include "platform/platform_factory.hh"
 
 namespace enzian::accel::hpcc {
@@ -40,38 +41,9 @@ smallConfig()
     return cfg;
 }
 
-Pipeline::Config
-fpgaPipeConfig(platform::EnzianMachine &m)
-{
-    Pipeline::Config cfg;
-    cfg.mc = &m.fpgaMem();
-    cfg.map = &m.map();
-    cfg.clock = &m.fpga().clock();
-    cfg.remote = &m.fpgaRemote();
-    return cfg;
-}
-
-std::vector<std::complex<float>>
-randomSignal(std::uint32_t n, std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<std::complex<float>> sig(n);
-    for (auto &s : sig)
-        s = {static_cast<float>(rng.uniform(-1.0, 1.0)),
-             static_cast<float>(rng.uniform(-1.0, 1.0))};
-    return sig;
-}
-
-std::vector<float>
-randomMatrix(std::uint32_t rows, std::uint32_t cols,
-             std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<float> a(static_cast<std::size_t>(rows) * cols);
-    for (auto &v : a)
-        v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    return a;
-}
+using platform::fpgaPipeConfig;
+using platform::randomMatrix;
+using platform::randomSignal;
 
 /** Run one local-DRAM job synchronously and return the done tick. */
 Tick

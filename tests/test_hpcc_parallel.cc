@@ -9,16 +9,15 @@
 
 #include <gtest/gtest.h>
 
-#include <complex>
 #include <sstream>
 #include <vector>
 
 #include "accel/hpcc/fft.hh"
 #include "accel/hpcc/lu.hh"
 #include "accel/hpcc/transpose.hh"
-#include "base/rng.hh"
 #include "obs/registry.hh"
 #include "platform/enzian_machine.hh"
+#include "platform/hpcc_scenario.hh"
 #include "platform/platform_factory.hh"
 
 namespace enzian::accel::hpcc {
@@ -48,11 +47,7 @@ hpccWorkload(std::uint32_t threads)
     cfg.name = "hpar";
     platform::EnzianMachine m(cfg);
 
-    Pipeline::Config pcfg;
-    pcfg.mc = &m.fpgaMem();
-    pcfg.map = &m.map();
-    pcfg.clock = &m.fpga().clock();
-    pcfg.remote = &m.fpgaRemote();
+    const Pipeline::Config pcfg = platform::fpgaPipeConfig(m);
 
     // FPGA-side engines live on the FPGA domain's queue.
     FftPipeline::Params fp;
@@ -70,18 +65,9 @@ hpccWorkload(std::uint32_t threads)
 
     // Deterministic inputs: the FFT signal in host DRAM (pulled over
     // ECI, crossing the domain boundary), the matrices in FPGA DRAM.
-    Rng rng(424242);
-    std::vector<std::complex<float>> sig(fp.n);
-    for (auto &s : sig)
-        s = {static_cast<float>(rng.uniform(-1.0, 1.0)),
-             static_cast<float>(rng.uniform(-1.0, 1.0))};
-    std::vector<float> mat(static_cast<std::size_t>(lp.n) * lp.n);
-    for (auto &v : mat)
-        v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    std::vector<float> tmat(static_cast<std::size_t>(tp.rows) *
-                            tp.cols);
-    for (auto &v : tmat)
-        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const auto sig = platform::randomSignal(fp.n, 424242);
+    const auto mat = platform::randomMatrix(lp.n, lp.n, 424243);
+    const auto tmat = platform::randomMatrix(tp.rows, tp.cols, 424244);
 
     const Addr host = 1ull << 20;
     const Addr base = mem::AddressMap::fpgaDramBase;

@@ -122,29 +122,23 @@ runService(TestbedConfig tbc, double rate_rps, double duration_ms,
            const fault::FaultPlan *plan = nullptr,
            std::uint64_t trace_requests = 0)
 {
-    tbc.plan = plan;
-    ServingTestbed bed(tbc);
-    obs::SloRecorder::Config sc;
-    sc.name = "test";
-    sc.window = units::ms(1.0);
-    obs::SloRecorder slo(sc);
-    LoadGen::Config lc;
-    lc.arrival.rate_rps = rate_rps;
-    lc.duration = units::ms(duration_ms);
-    lc.trace_requests = trace_requests;
-    LoadGen gen("test.loadgen", bed.eventq(), bed.driver(), slo, lc);
-    gen.start();
-    bed.run();
-    slo.rollTo(bed.machine().now());
-
+    SweepConfig cfg;
+    cfg.testbed = tbc;
+    cfg.testbed.plan = plan;
+    cfg.duration = units::ms(duration_ms);
+    cfg.window = units::ms(1.0);
     RunOutcome out;
-    out.offered = gen.offeredCount();
-    out.completed = gen.completedCount();
-    out.p99_us = slo.p99Us();
-    out.parallel = bed.machine().parallel();
-    std::ostringstream os;
-    slo.writeCsv(os);
-    out.csv = os.str();
+    const SweepPoint p = runPoint(
+        cfg, rate_rps, trace_requests,
+        [&out](ServingTestbed &bed, const obs::SloRecorder &slo) {
+            out.parallel = bed.machine().parallel();
+            std::ostringstream os;
+            slo.writeCsv(os);
+            out.csv = os.str();
+        });
+    out.offered = p.offered;
+    out.completed = p.completed;
+    out.p99_us = p.p99_us;
     return out;
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -338,7 +339,9 @@ TEST(ParallelChaos, EveryFaultKindByteIdenticalAcrossThreadCounts)
 {
     // One spec of each kind, with every subsystem it targets attached:
     // ECI faults on both domains, DRAM ECC on each node's memory,
-    // TCP/RDMA on the FPGA domain and rail glitches on the BMC.
+    // TCP/RDMA on the FPGA domain and rail glitches on the BMC. The
+    // net windows cover most of the TCP transfer, which runs from 2 us
+    // to past 0.4 ms (slowed by the glitch's FPGA power cycle).
     std::istringstream spec(
         "seed 77\n"
         "fault kind=eci-msg-drop prob=0.02\n"
@@ -350,9 +353,9 @@ TEST(ParallelChaos, EveryFaultKindByteIdenticalAcrossThreadCounts)
         "until_us=60\n"
         "fault kind=dram-ecc-uncorrectable prob=0.02 target=1 "
         "at_us=5 until_us=60\n"
-        "fault kind=net-loss prob=0.05 at_us=1 until_us=50\n"
+        "fault kind=net-loss prob=0.05 at_us=1 until_us=400\n"
         "fault kind=net-reorder prob=0.05 param=10 at_us=1 "
-        "until_us=50\n"
+        "until_us=400\n"
         "fault kind=rdma-drop prob=0.1 at_us=1 until_us=50\n"
         "fault kind=bmc-rail-glitch target=1 at_us=10\n");
     std::string err;
@@ -375,6 +378,20 @@ TEST(ParallelChaos, EveryFaultKindByteIdenticalAcrossThreadCounts)
             << kind << " never injected:\n"
             << r.report;
     }
+    // The TCP side traffic is cut into wire-MTU segments, so the loss
+    // and reorder windows hit it and recovery runs.
+    unsigned long long dropped = 0, reordered = 0, retransmits = 0;
+    const auto tcp = r.report.find("  tcp: ");
+    ASSERT_NE(tcp, std::string::npos) << r.report;
+    ASSERT_EQ(std::sscanf(r.report.c_str() + tcp,
+                          "  tcp: %llu dropped, %llu reordered, %llu "
+                          "retransmits",
+                          &dropped, &reordered, &retransmits),
+              3)
+        << r.report;
+    EXPECT_GT(dropped, 0u) << r.report;
+    EXPECT_GT(reordered, 0u) << r.report;
+    EXPECT_GT(retransmits, 0u) << r.report;
 }
 
 } // namespace

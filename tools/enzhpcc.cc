@@ -12,24 +12,21 @@
  * Run `enzhpcc --help` for the options.
  */
 
-#include <cmath>
-#include <complex>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "accel/hpcc/fft.hh"
 #include "accel/hpcc/lu.hh"
 #include "accel/hpcc/transpose.hh"
 #include "base/cli.hh"
-#include "base/logging.hh"
-#include "base/rng.hh"
 #include "fpga/scheduler.hh"
 #include "mem/address_map.hh"
 #include "obs/registry.hh"
 #include "obs/span_tracer.hh"
 #include "platform/enzian_machine.hh"
+#include "platform/hpcc_scenario.hh"
 #include "platform/platform_factory.hh"
 
 using namespace enzian;
@@ -52,51 +49,6 @@ struct Options
         return kernel == k || kernel == "all";
     }
 };
-
-accel::Pipeline::Config
-pipeConfig(platform::EnzianMachine &m)
-{
-    accel::Pipeline::Config cfg;
-    cfg.mc = &m.fpgaMem();
-    cfg.map = &m.map();
-    cfg.clock = &m.fpga().clock();
-    cfg.remote = &m.fpgaRemote();
-    return cfg;
-}
-
-/** One kernel run: issue jobs, drive the machine, report rates. */
-struct KernelRun
-{
-    const char *name;
-    double gflops = 0.0, gbs = 0.0;
-    bool verified = false;
-};
-
-template <typename MakeJob>
-double
-timeJobs(platform::EnzianMachine &m, accel::Pipeline &pipe,
-         fpga::VfpgaScheduler *sched, const Options &opt,
-         MakeJob make)
-{
-    const Tick start = m.now();
-    Tick last = 0;
-    std::uint32_t completed = 0;
-    for (std::uint32_t i = 0; i < opt.jobs; ++i) {
-        auto done = [&](Tick t) {
-            last = std::max(last, t);
-            ++completed;
-        };
-        if (sched)
-            pipe.runUnder(*sched, make(), done);
-        else
-            pipe.process(start, make(), done);
-    }
-    m.run();
-    if (completed != opt.jobs)
-        fatal("enzhpcc: %s completed %u of %u jobs", pipe.name().c_str(),
-              completed, opt.jobs);
-    return units::toSeconds(last - start);
-}
 
 } // namespace
 
@@ -134,9 +86,6 @@ main(int argc, char **argv)
                                          ? fpga::SchedPolicy::Fifo
                                          : fpga::SchedPolicy::RoundRobin;
     opt.sched |= opt.policy.has_value();
-    auto verdict = [&](bool verified) {
-        return opt.no_verify ? "skipped" : verified ? "ok" : "FAIL";
-    };
 
     if (opt.trace)
         obs::SpanTracer::global().setEnabled(true);
@@ -146,16 +95,14 @@ main(int argc, char **argv)
     cfg.fpga_dram_bytes = 256ull << 20;
     platform::EnzianMachine m(cfg);
 
-    fpga::VfpgaScheduler *sched = nullptr;
-    std::unique_ptr<fpga::VfpgaScheduler> sched_holder;
+    std::unique_ptr<fpga::VfpgaScheduler> sched;
     if (opt.sched) {
         m.loadBitstream("coyote-shell");
         fpga::VfpgaScheduler::Config scfg;
         scfg.policy = policy;
         scfg.quantum = units::us(opt.quantum_us);
-        sched_holder = std::make_unique<fpga::VfpgaScheduler>(
+        sched = std::make_unique<fpga::VfpgaScheduler>(
             "enzhpcc.sched", m.eventq(), m.shell(), scfg);
-        sched = sched_holder.get();
     }
 
     const Addr in = mem::AddressMap::fpgaDramBase;
@@ -167,39 +114,33 @@ main(int argc, char **argv)
                 "GFLOP/s", "GB/s", "verify");
     int failures = 0;
 
+    // A row per kernel; the check reads the last timed job's output.
+    auto row = [&](const char *kernel, const std::string &size,
+                   std::optional<double> gflops, double gbs, bool ok) {
+        char gf[32] = "-";
+        if (gflops)
+            std::snprintf(gf, sizeof gf, "%.2f", *gflops);
+        std::printf("%-8s %10s %12s %12.2f %10s\n", kernel, size.c_str(),
+                    gf, gbs, opt.no_verify ? "skipped" : ok ? "ok" : "FAIL");
+        failures += !ok;
+    };
+
     if (opt.runs("fft")) {
         FftPipeline::Params p;
         p.n = opt.n ? opt.n : 1024;
         if (p.n < 2 || (p.n & (p.n - 1)))
             tool.usageError("FFT size must be a power of two");
-        FftPipeline fft("enzhpcc.fft", m.fpgaEventq(), pipeConfig(m),
-                        p);
-        Rng rng(opt.seed);
-        std::vector<std::complex<float>> sig(p.n);
-        for (auto &s : sig)
-            s = {static_cast<float>(rng.uniform(-1.0, 1.0)),
-                 static_cast<float>(rng.uniform(-1.0, 1.0))};
-        store.write(map.offsetInRegion(in), sig.data(),
-                    sig.size() * 8);
-        const double secs =
-            timeJobs(m, fft, sched, opt,
-                     [&] { return fft.makeJob(in, out); });
-        KernelRun r{"fft"};
-        r.gflops = static_cast<double>(FftPipeline::flops(p.n)) *
-                   opt.jobs / secs / 1e9;
-        r.gbs = 2.0 * 8.0 * p.n * opt.jobs / secs / 1e9;
-        r.verified = true;
-        if (!opt.no_verify) {
-            std::vector<std::complex<float>> got(p.n);
-            store.read(map.offsetInRegion(out), got.data(),
-                       got.size() * 8);
-            if (rmsError(got, dftReference(sig)) > 1e-6) {
-                r.verified = false;
-                ++failures;
-            }
-        }
-        std::printf("%-8s %10u %12.2f %12.2f %10s\n", r.name, p.n,
-                    r.gflops, r.gbs, verdict(r.verified));
+        FftPipeline fft("enzhpcc.fft", m.fpgaEventq(),
+                        platform::fpgaPipeConfig(m), p);
+        const auto sig = platform::randomSignal(p.n, opt.seed);
+        store.write(map.offsetInRegion(in), sig.data(), sig.size() * 8);
+        const double secs = platform::timeJobs(
+            m, fft, fft.makeJob(in, out), opt.jobs, sched.get());
+        row("fft", std::to_string(p.n),
+            static_cast<double>(FftPipeline::flops(p.n)) * opt.jobs /
+                secs / 1e9,
+            2.0 * 8.0 * p.n * opt.jobs / secs / 1e9,
+            opt.no_verify || platform::fftMatchesReference(m, out, sig));
     }
 
     if (opt.runs("lu")) {
@@ -208,41 +149,20 @@ main(int argc, char **argv)
         p.block = opt.block;
         if (p.block == 0 || p.block > p.n)
             tool.usageError("bad LU block width");
-        LuPipeline lu("enzhpcc.lu", m.fpgaEventq(), pipeConfig(m), p);
-        Rng rng(opt.seed + 1);
-        std::vector<float> mat(static_cast<std::size_t>(p.n) * p.n);
-        for (auto &v : mat)
-            v = static_cast<float>(rng.uniform(-1.0, 1.0));
-        store.write(map.offsetInRegion(in), mat.data(),
-                    mat.size() * 4);
-        const double secs =
-            timeJobs(m, lu, sched, opt,
-                     [&] { return lu.makeJob(in, out); });
-        KernelRun r{"lu"};
-        r.gflops = static_cast<double>(LuPipeline::flops(p.n)) *
-                   opt.jobs / secs / 1e9;
-        r.gbs = static_cast<double>(lu.inputBytes() +
-                                    lu.outputBytes()) *
-                opt.jobs / secs / 1e9;
-        r.verified = true;
-        if (!opt.no_verify) {
-            std::vector<float> got(mat.size());
-            store.read(map.offsetInRegion(out), got.data(),
-                       got.size() * 4);
-            auto want = mat;
-            std::vector<std::int32_t> piv;
-            luReference(want, piv, p.n);
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                if (std::abs(got[i] - want[i]) >
-                    1e-4f * static_cast<float>(p.n)) {
-                    r.verified = false;
-                    ++failures;
-                    break;
-                }
-            }
-        }
-        std::printf("%-8s %10u %12.2f %12.2f %10s\n", r.name, p.n,
-                    r.gflops, r.gbs, verdict(r.verified));
+        LuPipeline lu("enzhpcc.lu", m.fpgaEventq(),
+                      platform::fpgaPipeConfig(m), p);
+        const auto mat = platform::randomMatrix(p.n, p.n, opt.seed + 1);
+        store.write(map.offsetInRegion(in), mat.data(), mat.size() * 4);
+        const double secs = platform::timeJobs(
+            m, lu, lu.makeJob(in, out), opt.jobs, sched.get());
+        row("lu", std::to_string(p.n),
+            static_cast<double>(LuPipeline::flops(p.n)) * opt.jobs /
+                secs / 1e9,
+            static_cast<double>(lu.inputBytes() + lu.outputBytes()) *
+                opt.jobs / secs / 1e9,
+            opt.no_verify ||
+                platform::luMatchesReference(
+                    m, out, mat, p.n, 1e-4f * static_cast<float>(p.n)));
     }
 
     if (opt.runs("ptrans")) {
@@ -253,35 +173,18 @@ main(int argc, char **argv)
         if (p.tile == 0 || p.rows % p.tile || p.cols % p.tile)
             tool.usageError("tile must divide rows and cols");
         TransposePipeline tr("enzhpcc.ptrans", m.fpgaEventq(),
-                             pipeConfig(m), p);
-        Rng rng(opt.seed + 2);
-        std::vector<float> mat(static_cast<std::size_t>(p.rows) *
-                               p.cols);
-        for (auto &v : mat)
-            v = static_cast<float>(rng.uniform(-1.0, 1.0));
-        store.write(map.offsetInRegion(in), mat.data(),
-                    mat.size() * 4);
-        const double secs =
-            timeJobs(m, tr, sched, opt,
-                     [&] { return tr.makeJob(in, out); });
-        KernelRun r{"ptrans"};
-        r.gbs = static_cast<double>(tr.bytesMoved()) * opt.jobs /
-                secs / 1e9;
-        r.verified = true;
-        if (!opt.no_verify) {
-            std::vector<float> got(mat.size());
-            store.read(map.offsetInRegion(out), got.data(),
-                       got.size() * 4);
-            const auto want = transposeReference(mat, p.rows, p.cols);
-            if (got != want) {
-                r.verified = false;
-                ++failures;
-            }
-        }
-        char size[32];
-        std::snprintf(size, sizeof size, "%ux%u", p.rows, p.cols);
-        std::printf("%-8s %10s %12s %12.2f %10s\n", r.name, size, "-",
-                    r.gbs, verdict(r.verified));
+                             platform::fpgaPipeConfig(m), p);
+        const auto mat =
+            platform::randomMatrix(p.rows, p.cols, opt.seed + 2);
+        store.write(map.offsetInRegion(in), mat.data(), mat.size() * 4);
+        const double secs = platform::timeJobs(
+            m, tr, tr.makeJob(in, out), opt.jobs, sched.get());
+        row("ptrans",
+            std::to_string(p.rows) + "x" + std::to_string(p.cols),
+            std::nullopt,
+            static_cast<double>(tr.bytesMoved()) * opt.jobs / secs / 1e9,
+            opt.no_verify || platform::transposeMatchesReference(
+                                 m, out, mat, p.rows, p.cols));
     }
 
     if (sched)

@@ -31,7 +31,6 @@
 #include "fault/fault_plan.hh"
 #include "load/testbed.hh"
 #include "obs/json.hh"
-#include "obs/slo.hh"
 #include "obs/span_tracer.hh"
 
 using namespace enzian;
@@ -219,29 +218,11 @@ main(int argc, char **argv)
     // point if nothing met the SLO) with the tracer on.
     bool wrote = true;
     if (trace && !base.points.empty()) {
-        const int idx = base.knee >= 0 ? base.knee : 0;
-        load::TestbedConfig tbc = cfg.testbed;
-        tbc.plan = nullptr;
-        load::ServingTestbed bed(tbc);
-        obs::SloRecorder::Config sc;
-        sc.name = "trace";
-        sc.window = cfg.window;
-        sc.slo_latency_us = cfg.slo_latency_us;
-        sc.slo_quantile = cfg.slo_quantile;
-        obs::SloRecorder slo(sc);
-        load::LoadGen::Config lc;
-        lc.arrival = cfg.arrival;
-        lc.arrival.rate_rps = base.points[idx].offered_rps;
-        lc.duration = cfg.duration;
-        lc.clients = cfg.clients;
-        lc.trace_requests =
-            trace_requests > 0 ? trace_requests : 32;
         obs::SpanTracer &tracer = obs::SpanTracer::global();
         tracer.setEnabled(true);
-        load::LoadGen gen("serving.loadgen", bed.eventq(),
-                          bed.driver(), slo, lc);
-        gen.start();
-        bed.run();
+        load::runPoint(cfg, base.points[base.knee >= 0 ? base.knee : 0]
+                                .offered_rps,
+                       trace_requests > 0 ? trace_requests : 32);
         tracer.setEnabled(false);
         wrote &= tool.writeTo(*trace, [&](std::ostream &os) {
             tracer.writeChromeJson(os);

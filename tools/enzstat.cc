@@ -24,7 +24,6 @@
 #include <string>
 
 #include "base/cli.hh"
-#include "load/load_gen.hh"
 #include "load/testbed.hh"
 #include "obs/registry.hh"
 #include "obs/sampler.hh"
@@ -111,21 +110,14 @@ main(int argc, char **argv)
         // A second, independent run: Poisson arrivals into the GBDT
         // serving testbed at half its estimated capacity, reported as
         // tumbling-window percentile rows.
-        load::ServingTestbed bed(load::TestbedConfig{});
-        obs::SloRecorder::Config sc;
-        sc.window = units::ms(5.0);
-        obs::SloRecorder rec(sc);
-        load::LoadGen::Config lc;
-        lc.arrival.rate_rps = 0.5 * bed.estimatedCapacityRps();
-        lc.duration = units::ms(50.0);
-        load::LoadGen gen("serving.loadgen", bed.eventq(),
-                          bed.driver(), rec, lc);
-        gen.start();
-        bed.run();
-        rec.rollTo(bed.machine().now());
-        wrote &= tool.writeTo(*slo, [&](std::ostream &os) {
-            rec.writeCsv(os);
-        });
+        const load::SweepConfig sc;
+        load::runPoint(
+            sc, 0.5 * load::ServingTestbed(sc.testbed).estimatedCapacityRps(),
+            0, [&](load::ServingTestbed &, const obs::SloRecorder &rec) {
+                wrote &= tool.writeTo(*slo, [&](std::ostream &os) {
+                    rec.writeCsv(os);
+                });
+            });
     }
 
     obs::Registry &reg = obs::Registry::global();
