@@ -16,6 +16,7 @@
 #include <cstring>
 
 #include "base/logging.hh"
+#include "base/wire_ledger.hh"
 
 namespace enzian::accel {
 
@@ -23,30 +24,39 @@ namespace {
 
 constexpr std::uint32_t wireHeaderBytes = 48;
 
-std::uint32_t g_next_id = 1;
-std::unordered_map<std::uint32_t, KvStoreServer::WireRequest>
-    g_requests;
-std::unordered_map<std::uint32_t, KvStoreServer::WireResponse>
-    g_responses;
+/**
+ * Process-wide wire ledgers: a client reaches its server only by
+ * switch port, so requests and responses travel by id through these.
+ * Ids are opaque; they never feed timing or stats.
+ */
+WireLedger<KvStoreServer::WireRequest> &
+requestLedger()
+{
+    static WireLedger<KvStoreServer::WireRequest> ledger;
+    return ledger;
+}
+
+WireLedger<KvStoreServer::WireResponse> &
+responseLedger()
+{
+    static WireLedger<KvStoreServer::WireResponse> ledger;
+    return ledger;
+}
 
 } // namespace
 
 std::uint32_t
 KvStoreServer::registerRequest(WireRequest req)
 {
-    const std::uint32_t id = g_next_id++;
-    g_requests.emplace(id, std::move(req));
-    return id;
+    return requestLedger().put32(std::move(req));
 }
 
 KvStoreServer::WireResponse
 KvStoreServer::takeResponse(std::uint32_t id)
 {
-    auto it = g_responses.find(id);
-    ENZIAN_ASSERT(it != g_responses.end(), "no KV response %u", id);
-    auto out = std::move(it->second);
-    g_responses.erase(it);
-    return out;
+    std::optional<WireResponse> rsp = responseLedger().take(id);
+    ENZIAN_ASSERT(rsp, "no KV response %u", id);
+    return std::move(*rsp);
 }
 
 KvStoreServer::KvStoreServer(std::string name, EventQueue &eq,
@@ -224,10 +234,9 @@ KvStoreServer::onFrame(Tick, std::uint64_t, std::uint64_t user)
 void
 KvStoreServer::serve(std::uint32_t id)
 {
-    auto it = g_requests.find(id);
-    ENZIAN_ASSERT(it != g_requests.end(), "unknown KV request %u", id);
-    WireRequest req = std::move(it->second);
-    g_requests.erase(it);
+    std::optional<WireRequest> taken = requestLedger().take(id);
+    ENZIAN_ASSERT(taken, "unknown KV request %u", id);
+    WireRequest req = std::move(*taken);
 
     WireResponse rsp;
     using Op = WireRequest::Op;
@@ -249,7 +258,7 @@ KvStoreServer::serve(std::uint32_t id)
     }
     const std::uint64_t wire = wireHeaderBytes + rsp.value.size();
     const std::uint32_t src = req.srcPort;
-    g_responses[id] = std::move(rsp);
+    responseLedger().putAt(id, std::move(rsp));
     // Respond once the DRAM probes of this operation complete.
     eventq().schedule(
         std::max(lastDramDone_, now()),

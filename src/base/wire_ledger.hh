@@ -31,6 +31,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "base/logging.hh"
+
 namespace enzian {
 
 /** Thread-safe id → record ledger (see file comment). */
@@ -46,6 +48,17 @@ class WireLedger
         std::lock_guard<std::mutex> lk(mu_);
         map_.emplace(id, std::move(record));
         return id;
+    }
+
+    /** put() for an id that rides a 32-bit tag field; dies if the
+     *  id no longer fits. */
+    std::uint32_t put32(T record)
+    {
+        const std::uint64_t id = put(std::move(record));
+        ENZIAN_ASSERT(id <= 0xffffffffull,
+                      "wire id %llu overflows a 32-bit tag field",
+                      static_cast<unsigned long long>(id));
+        return static_cast<std::uint32_t>(id);
     }
 
     /** Register @p record under the caller-chosen @p id. */

@@ -52,15 +52,12 @@ BumpInWire::forward(bool to_host, Tick when, std::uint64_t payload,
     pipeFreeAt_ = start + stream;
     const Tick ready = start + stream + units::ns(cfg_.pipeline_ns);
 
-    eventq().schedule(
-        ready,
-        [this, to_host, out, tag]() {
-            if (to_host)
-                hostLink_.send(0, out, tag); // FPGA owns side 0 here
-            else
-                netLink_.send(1, out, tag);
-        },
-        "biw-forward");
+    // The FPGA is the only sender on its side of either link and
+    // ready is monotone, so claiming the wire now keeps frame order.
+    if (to_host)
+        hostLink_.send(0, out, tag, ready); // FPGA owns side 0 here
+    else
+        netLink_.send(1, out, tag, ready);
 }
 
 } // namespace enzian::net

@@ -19,6 +19,10 @@ EthernetLink::EthernetLink(std::string name, EventQueue &eq,
     if (cfg_.mtu == 0)
         fatal("ethernet link '%s': zero MTU", SimObject::name().c_str());
     lineBw_ = cfg_.rate_gbps * 1e9 / 8.0;
+    for (PortSide from = 0; from < 2; ++from) {
+        deliverQ_[from].ev.init(
+            eq, [this, from] { deliverNext(from); }, "eth-deliver");
+    }
     stats().addCounter("bytes_tx_0", &bytes_[0]);
     stats().addCounter("bytes_tx_1", &bytes_[1]);
 }
@@ -70,7 +74,7 @@ EthernetLink::effectiveBandwidth() const
 
 Tick
 EthernetLink::send(PortSide from, std::uint64_t payload,
-                   std::uint64_t tag)
+                   std::uint64_t tag, Tick not_before)
 {
     ENZIAN_ASSERT(from < 2, "bad port side %u", from);
     const PortSide to = from ^ 1;
@@ -83,7 +87,7 @@ EthernetLink::send(PortSide from, std::uint64_t payload,
     // Domain mode: time comes from the sending side's domain clock,
     // and busFreeAt_[from] has that thread as its single writer.
     const Tick tnow = dirBind_.bound() ? dirBind_.now(from) : now();
-    const Tick start = std::max(tnow, busFreeAt_[from]);
+    const Tick start = std::max({tnow, not_before, busFreeAt_[from]});
     const Tick stream = units::transferTicks(wire, lineBw_);
     busFreeAt_[from] = start + stream;
     const Tick delivery = start + stream + units::ns(cfg_.latency_ns);
@@ -91,12 +95,13 @@ EthernetLink::send(PortSide from, std::uint64_t payload,
     ENZIAN_ASSERT(handlers_[to], "no receiver on side %u of %s", to,
                   name().c_str());
     if (!dirBind_.bound()) {
-        eventq().schedule(
-            delivery,
-            [this, to, delivery, payload, tag]() {
-                handlers_[to](delivery, payload, tag);
-            },
-            "eth-deliver");
+        DeliveryQueue &q = deliverQ_[from];
+        ENZIAN_ASSERT(q.fifo.empty() || delivery > q.fifo.back().delivery,
+                      "%s: delivery out of order on side %u",
+                      name().c_str(), from);
+        q.fifo.push_back(Frame{delivery, payload, tag, to});
+        if (!q.ev.scheduled())
+            q.ev.schedule(delivery);
     } else {
         // Frames cross through the side's slot arena: the channel
         // records only (tick, lane, slot) and the delivery closure is
@@ -104,6 +109,19 @@ EthernetLink::send(PortSide from, std::uint64_t payload,
         (*lanes_)[from].push(delivery, Frame{delivery, payload, tag, to});
     }
     return delivery;
+}
+
+void
+EthernetLink::deliverNext(PortSide from)
+{
+    DeliveryQueue &q = deliverQ_[from];
+    const Frame f = q.fifo.front();
+    q.fifo.pop_front();
+    // Re-arm before invoking the handler: it may send() more traffic
+    // in this direction, which appends behind the current front.
+    if (!q.fifo.empty())
+        q.ev.schedule(q.fifo.front().delivery);
+    handlers_[f.to](f.delivery, f.payload, f.tag);
 }
 
 } // namespace enzian::net

@@ -12,6 +12,7 @@
 #define ENZIAN_NET_ETHERNET_HH
 
 #include <array>
+#include <deque>
 #include <functional>
 #include <memory>
 
@@ -75,10 +76,14 @@ class EthernetLink : public SimObject
     /**
      * Send @p payload bytes from @p from to the other side. The
      * payload is segmented into MTU-sized frames for timing; @p tag is
-     * delivered opaquely to the receiver.
+     * delivered opaquely to the receiver. The serializer starts no
+     * earlier than @p not_before, so a forwarder can claim the wire
+     * for a frame it will have ready later without an event of its
+     * own; claims are served in call order.
      * @return the delivery tick of the last byte.
      */
-    Tick send(PortSide from, std::uint64_t payload, std::uint64_t tag);
+    Tick send(PortSide from, std::uint64_t payload, std::uint64_t tag,
+              Tick not_before = 0);
 
     /** Effective payload bandwidth at the configured MTU (bytes/s). */
     double effectiveBandwidth() const;
@@ -94,7 +99,7 @@ class EthernetLink : public SimObject
     }
 
   private:
-    /** One frame crossing domains; payload for the side's slot arena. */
+    /** One frame in flight toward side @c to. */
     struct Frame
     {
         Tick delivery;
@@ -102,6 +107,20 @@ class EthernetLink : public SimObject
         std::uint64_t tag;
         std::uint32_t to;
     };
+
+    /**
+     * Per-direction delivery pipeline on a single queue. The latency
+     * is constant and the serializer FIFO, so deliveries in one
+     * direction strictly increase; frames ride a deque drained by one
+     * reusable Event instead of a heap entry and closure per frame.
+     */
+    struct DeliveryQueue
+    {
+        std::deque<Frame> fifo;
+        Event ev;
+    };
+
+    void deliverNext(PortSide from);
 
     Config cfg_;
     double lineBw_;
@@ -111,6 +130,8 @@ class EthernetLink : public SimObject
     Handler handlers_[2];
     /** bytes_[side] likewise has a single writer in domain mode. */
     Counter bytes_[2];
+    /** Single-queue deliveries, indexed by sending side. */
+    std::array<DeliveryQueue, 2> deliverQ_;
 
     // --- parallel domain mode state (unbound in legacy mode) -------
     /** Per-side source clock + outbound mailbox, bound with this

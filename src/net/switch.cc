@@ -36,20 +36,18 @@ Switch::Switch(std::string name, EventQueue &eq, std::uint32_t ports,
         ports_.push_back(std::make_unique<EthernetLink>(
             SimObject::name() + ".port" + std::to_string(i), eq,
             portConfig(cfg_, i)));
-        // Side 1 of each port link faces the switch fabric: forward
-        // arriving frames to the destination port after the
-        // store-and-forward delay.
+        // Side 1 of each port link faces the switch fabric: an
+        // arriving frame claims its egress port at once, to start no
+        // earlier than the store-and-forward delay from now. The
+        // delay is constant, so claims stay in arrival order.
         ports_[i]->setReceiver(
-            1, [this](Tick, std::uint64_t payload, std::uint64_t tag) {
+            1, [this](Tick when, std::uint64_t payload,
+                      std::uint64_t tag) {
                 const std::uint32_t dst = dstOf(tag);
                 ENZIAN_ASSERT(dst < ports_.size(),
                               "frame for unknown port %u", dst);
-                eventq().scheduleDelta(
-                    units::ns(cfg_.forward_ns),
-                    [this, dst, payload, tag]() {
-                        ports_[dst]->send(1, payload, tag);
-                    },
-                    "switch-forward");
+                ports_[dst]->send(1, payload, tag,
+                                  when + units::ns(cfg_.forward_ns));
             });
     }
 }

@@ -6,8 +6,10 @@
 #include "net/tcp_stack.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "base/logging.hh"
+#include "base/wire_ledger.hh"
 #include "obs/request_context.hh"
 #include "obs/span_tracer.hh"
 
@@ -19,7 +21,7 @@ namespace {
  * Sequenced segments carry a 32-bit wire id in the frame user field;
  * the id resolves to the (seq, len) pair here. Entries are erased on
  * delivery; fault-dropped segments are never registered, so the
- * registry only ever holds frames in flight.
+ * ledger only ever holds frames in flight.
  */
 struct WireSeg
 {
@@ -27,25 +29,30 @@ struct WireSeg
     std::uint64_t len; // 0 for cumulative acks (seq = ack point)
 };
 
-std::uint32_t g_next_seg_id = 1;
-std::unordered_map<std::uint32_t, WireSeg> g_segs;
+/**
+ * Process-wide, like the RDMA ledgers: a segment is taken by
+ * whichever stack the switch delivers it to. Ids are opaque; they
+ * never feed timing or stats.
+ */
+WireLedger<WireSeg> &
+segLedger()
+{
+    static WireLedger<WireSeg> ledger;
+    return ledger;
+}
 
 std::uint32_t
 registerSeg(std::uint64_t seq, std::uint64_t len)
 {
-    const std::uint32_t id = g_next_seg_id++;
-    g_segs.emplace(id, WireSeg{seq, len});
-    return id;
+    return segLedger().put32(WireSeg{seq, len});
 }
 
 WireSeg
 takeSeg(std::uint32_t id)
 {
-    auto it = g_segs.find(id);
-    ENZIAN_ASSERT(it != g_segs.end(), "unknown wire segment %u", id);
-    WireSeg seg = it->second;
-    g_segs.erase(it);
-    return seg;
+    const std::optional<WireSeg> seg = segLedger().take(id);
+    ENZIAN_ASSERT(seg, "unknown wire segment %u", id);
+    return *seg;
 }
 
 } // namespace
